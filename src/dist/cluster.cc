@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -313,104 +314,78 @@ Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
 
 template <typename Fill, typename Fallback>
 MultiSampleReport GraphCluster::NeighborRound(
-    const std::vector<const std::vector<VertexId>*>& item_seeds, Fill&& fill,
+    const std::vector<const std::vector<VertexId>*>& item_seeds,
+    const std::vector<std::size_t>& draws_per_seed, Fill&& fill,
     Fallback&& fallback) {
   MultiSampleReport multi;
   multi.reports.resize(item_seeds.size());
   if (item_seeds.empty()) return multi;
 
   // Group each item's seed positions by owning shard:
-  // shard_groups[s] = [(item, positions-in-item), ...] in item order.
+  // shard_groups[s] = [(item, first range, positions-in-item), ...] in
+  // item order, i.e. the order of the ranges in shard s's response.
   struct ShardGroup {
     std::size_t item;
+    std::size_t first_range;
     std::vector<std::size_t> positions;
   };
   std::vector<std::vector<ShardGroup>> shard_groups(shards_.size());
+  std::vector<std::size_t> shard_ranges(shards_.size(), 0);
+  std::vector<std::size_t> shard_draws(shards_.size(), 0);
   for (std::size_t w = 0; w < item_seeds.size(); ++w) {
     const std::vector<VertexId>& seeds = *item_seeds[w];
-    std::vector<std::vector<std::size_t>> by_shard(shards_.size());
     for (std::size_t i = 0; i < seeds.size(); ++i) {
-      by_shard[partitioner_.ShardOf(seeds[i])].push_back(i);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!by_shard[s].empty()) {
-        shard_groups[s].push_back(ShardGroup{w, std::move(by_shard[s])});
+      const std::size_t s = partitioner_.ShardOf(seeds[i]);
+      std::vector<ShardGroup>& groups = shard_groups[s];
+      if (groups.empty() || groups.back().item != w) {
+        groups.push_back(ShardGroup{w, shard_ranges[s], {}});
       }
+      groups.back().positions.push_back(i);
+      ++shard_ranges[s];
+      shard_draws[s] += draws_per_seed[w];
     }
   }
 
   // One parallel logical RPC (with retries) per touched shard, carrying
-  // every item's seeds for that shard.
-  std::vector<std::vector<std::vector<VertexId>>> results(item_seeds.size());
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    results[w].resize(item_seeds[w]->size());
-  }
+  // every item's seeds for that shard and answered by one flat response.
+  std::vector<NeighborBatch> responses(shards_.size());
   std::vector<RpcOutcome> outcomes(shards_.size());
   pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
     const std::vector<ShardGroup>& groups = shard_groups[s];
     if (groups.empty()) return;
     outcomes[s] = RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
       Timer rpc;
-      // local[g][i] = range for groups[g].positions[i]. `fill` re-derives
-      // any RNG state per item per attempt, so a retry replays the exact
-      // draw sequence and batching never perturbs an item's stream.
-      std::vector<std::vector<std::vector<VertexId>>> local(groups.size());
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        local[g].resize(groups[g].positions.size());
-        fill(s, groups[g].item, groups[g].positions, &local[g]);
+      // Built in attempt-local storage, so a retry starts empty. `fill`
+      // re-derives any RNG state per item per attempt, so a retry replays
+      // the exact draw sequence and batching never perturbs an item's
+      // stream.
+      NeighborBatch resp;
+      resp.offsets.reserve(shard_ranges[s] + 1);
+      resp.offsets.push_back(0);
+      resp.neighbors.reserve(shard_draws[s]);
+      for (const ShardGroup& grp : groups) {
+        fill(s, grp.item, grp.positions, &resp);
       }
       rpc_latency_.RecordMicros(rpc.ElapsedMicros());
       if (corrupt) {
         // Ship the response through the real codec, damage it in flight,
         // and let the hardened decoder judge it (docs/fault_tolerance.md).
-        NeighborBatch resp;
-        resp.offsets.push_back(0);
-        std::size_t total_ranges = 0;
-        for (const auto& item_local : local) {
-          for (const auto& r : item_local) {
-            resp.neighbors.insert(resp.neighbors.end(), r.begin(), r.end());
-            resp.offsets.push_back(resp.neighbors.size());
-            ++total_ranges;
-          }
-        }
         std::string bytes = wire::EncodeSampleResponse(resp);
         out.resp_bytes += bytes.size();  // shipped before the damage
         injector_.CorruptBytes(s, &bytes);
         NeighborBatch decoded;
         if (!wire::DecodeSampleResponse(bytes, &decoded) ||
-            decoded.NumSeeds() != total_ranges) {
+            decoded.NumSeeds() != shard_ranges[s]) {
           return false;  // rejected by the codec; RunRpc retries
         }
         // Structurally valid despite the damage — accept what decoded.
         // (CorruptBytes guarantees structural damage, so this is a
         // belt-and-braces path, not an expected one.)
-        std::size_t k = 0;
-        for (const ShardGroup& grp : groups) {
-          for (std::size_t pos : grp.positions) {
-            results[grp.item][pos].assign(
-                decoded.neighbors.begin() +
-                    static_cast<std::ptrdiff_t>(decoded.offsets[k]),
-                decoded.neighbors.begin() +
-                    static_cast<std::ptrdiff_t>(decoded.offsets[k + 1]));
-            ++k;
-          }
-        }
+        responses[s] = std::move(decoded);
         return true;
       }
-      // One logical SampleResponse per item bundled into the RPC:
-      // header + per seed (4 B len + 8 B each).
-      std::uint64_t resp = 0;
-      for (const auto& item_local : local) {
-        resp += 5;
-        for (const auto& r : item_local) resp += 4 + r.size() * sizeof(VertexId);
-      }
-      out.resp_bytes += resp;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const ShardGroup& grp = groups[g];
-        for (std::size_t i = 0; i < grp.positions.size(); ++i) {
-          results[grp.item][grp.positions[i]] = std::move(local[g][i]);
-        }
-      }
+      out.resp_bytes += wire::SampleResponseBytes(resp);
+      responses[s] = std::move(resp);
       return true;
     });
   });
@@ -426,24 +401,26 @@ MultiSampleReport GraphCluster::NeighborRound(
     MergeOutcome(out);
     // One logical SampleRequest per item bundled into the RPC (dist/wire.h
     // layout): header + 8 B per seed.
-    std::size_t shard_seeds = 0;
-    for (const ShardGroup& grp : groups) shard_seeds += grp.positions.size();
     counters_.bytes_sent->Add(
-        out.attempts * (14 * groups.size() + shard_seeds * sizeof(VertexId)));
-    shard_seed_counters_[s]->Add(shard_seeds);
+        out.attempts *
+        (14 * groups.size() + shard_ranges[s] * sizeof(VertexId)));
+    shard_seed_counters_[s]->Add(shard_ranges[s]);
     counters_.bytes_received->Add(out.resp_bytes);
     // The round's virtual wall time is the slowest of the parallel RPCs.
     multi.round_virtual_us = std::max(multi.round_virtual_us, out.virtual_us);
     if (!out.delivered) {
+      // Stand in for the lost response in the same layout: replica ranges
+      // where a replica serves, flagged empty ranges where none does.
+      NeighborBatch& resp = responses[s];
+      resp.offsets.reserve(shard_ranges[s] + 1);
+      resp.offsets.push_back(0);
+      resp.neighbors.reserve(shard_draws[s]);
       for (const ShardGroup& grp : groups) {
         SampleReport& report = multi.reports[grp.item];
-        if (fallback(s, grp.item, grp.positions, &results[grp.item],
-                     &report)) {
-          continue;
-        }
-        // Degrade this item's seeds on this shard: empty ranges, flagged.
+        if (fallback(s, grp.item, grp.positions, &resp, &report)) continue;
+        resp.offsets.insert(resp.offsets.end(), grp.positions.size(),
+                            resp.neighbors.size());
         for (std::size_t pos : grp.positions) {
-          results[grp.item][pos].clear();
           report.seed_status[pos] = SeedStatus::kDegraded;
         }
         report.degraded_seeds += grp.positions.size();
@@ -458,15 +435,37 @@ MultiSampleReport GraphCluster::NeighborRound(
   // fails over under a read-only workload too.
   ReplicationHealthCheck();
 
-  // Re-assemble each item in seed order.
+  // Scatter the shard responses into each item's batch in seed order:
+  // size every range, prefix-sum the offsets, then copy the ranges into
+  // one allocation per item.
   for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    SampleReport& report = multi.reports[w];
-    report.batch.offsets.reserve(item_seeds[w]->size() + 1);
-    report.batch.offsets.push_back(0);
-    for (const auto& r : results[w]) {
-      report.batch.neighbors.insert(report.batch.neighbors.end(), r.begin(),
-                                    r.end());
-      report.batch.offsets.push_back(report.batch.neighbors.size());
+    multi.reports[w].batch.offsets.assign(item_seeds[w]->size() + 1, 0);
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::vector<std::size_t>& from = responses[s].offsets;
+    for (const ShardGroup& grp : shard_groups[s]) {
+      std::vector<std::size_t>& to = multi.reports[grp.item].batch.offsets;
+      for (std::size_t k = 0; k < grp.positions.size(); ++k) {
+        const std::size_t r = grp.first_range + k;
+        to[grp.positions[k] + 1] = from[r + 1] - from[r];
+      }
+    }
+  }
+  for (SampleReport& report : multi.reports) {
+    std::vector<std::size_t>& offsets = report.batch.offsets;
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    report.batch.neighbors.resize(offsets.back());
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const NeighborBatch& resp = responses[s];
+    for (const ShardGroup& grp : shard_groups[s]) {
+      NeighborBatch& batch = multi.reports[grp.item].batch;
+      for (std::size_t k = 0; k < grp.positions.size(); ++k) {
+        const std::size_t r = grp.first_range + k;
+        std::copy(resp.neighbors.data() + resp.offsets[r],
+                  resp.neighbors.data() + resp.offsets[r + 1],
+                  batch.neighbors.data() + batch.offsets[grp.positions[k]]);
+      }
     }
   }
   return multi;
@@ -475,26 +474,30 @@ MultiSampleReport GraphCluster::NeighborRound(
 MultiSampleReport GraphCluster::SampleMany(
     const std::vector<SampleWorkItem>& work) {
   std::vector<const std::vector<VertexId>*> item_seeds;
+  std::vector<std::size_t> draws_per_seed;
   item_seeds.reserve(work.size());
-  for (const SampleWorkItem& w : work) item_seeds.push_back(w.seeds);
+  draws_per_seed.reserve(work.size());
+  for (const SampleWorkItem& w : work) {
+    item_seeds.push_back(w.seeds);
+    draws_per_seed.push_back(w.fanout);
+  }
   return NeighborRound(
-      item_seeds,
+      item_seeds, draws_per_seed,
       [&](std::size_t s, std::size_t item,
-          const std::vector<std::size_t>& positions,
-          std::vector<std::vector<VertexId>>* local) {
+          const std::vector<std::size_t>& positions, NeighborBatch* resp) {
         const SampleWorkItem& w = work[item];
         // Fresh RNG per item per attempt: batched results are
         // bit-identical to issuing the item alone, and a retry replays
         // the exact draw sequence of the failed attempt.
         Xoshiro256 rng(w.rng_seed ^ (kShardSeedSalt * (s + 1)));
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-          shards_[s]->SampleNeighbors((*w.seeds)[positions[i]], w.fanout,
-                                      w.weighted, rng, &(*local)[i], w.type);
+        for (std::size_t pos : positions) {
+          shards_[s]->SampleNeighbors((*w.seeds)[pos], w.fanout, w.weighted,
+                                      rng, &resp->neighbors, w.type);
+          resp->offsets.push_back(resp->neighbors.size());
         }
       },
       [&](std::size_t s, std::size_t item,
-          const std::vector<std::size_t>& positions,
-          std::vector<std::vector<VertexId>>* item_results,
+          const std::vector<std::size_t>& positions, NeighborBatch* resp,
           SampleReport* report) {
         // Bounded-staleness fallback: an unreachable primary's seeds may
         // be served by its freshest replica if one is within the
@@ -513,11 +516,10 @@ MultiSampleReport GraphCluster::SampleMany(
         std::optional<ReplicationManager::ReplicaServe> serve =
             replication_->SampleFromReplica(
                 s, group_seeds, w.fanout, w.weighted,
-                w.rng_seed ^ (kShardSeedSalt * (s + 1)), w.type);
+                w.rng_seed ^ (kShardSeedSalt * (s + 1)), w.type, resp);
         if (!serve.has_value()) return false;
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-          (*item_results)[positions[i]] = std::move(serve->neighbors[i]);
-          report->seed_status[positions[i]] = SeedStatus::kStale;
+        for (std::size_t pos : positions) {
+          report->seed_status[pos] = SeedStatus::kStale;
         }
         counters_.replica_read_seeds->Add(positions.size());
         if (serve->lag > 0) counters_.stale_replica_seeds->Add(positions.size());
@@ -543,19 +545,22 @@ MultiSampleReport GraphCluster::TraverseMany(
   std::vector<const std::vector<VertexId>*> item_seeds;
   item_seeds.reserve(work.size());
   for (const TraverseWorkItem& w : work) item_seeds.push_back(w.seeds);
+  // A range holds min(cap, degree) ids: the cap bounds it, but reserving
+  // it would over-allocate for every low-degree seed, so grow instead.
+  const std::vector<std::size_t> draws_per_seed(work.size(), 0);
   return NeighborRound(
-      item_seeds,
+      item_seeds, draws_per_seed,
       [&](std::size_t s, std::size_t item,
-          const std::vector<std::size_t>& positions,
-          std::vector<std::vector<VertexId>>* local) {
+          const std::vector<std::size_t>& positions, NeighborBatch* resp) {
         const TraverseWorkItem& w = work[item];
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-          shards_[s]->Traverse((*w.seeds)[positions[i]], w.cap, &(*local)[i],
+        for (std::size_t pos : positions) {
+          shards_[s]->Traverse((*w.seeds)[pos], w.cap, &resp->neighbors,
                                w.type);
+          resp->offsets.push_back(resp->neighbors.size());
         }
       },
       [](std::size_t, std::size_t, const std::vector<std::size_t>&,
-         std::vector<std::vector<VertexId>>*, SampleReport*) {
+         NeighborBatch*, SampleReport*) {
         // No replica fallback for traversal: degraded frontiers must stay
         // visible to the serving layer's SLO accounting.
         return false;

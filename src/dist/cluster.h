@@ -84,8 +84,9 @@ struct ClusterConfig {
 struct ClusterStats {
   std::uint64_t rpcs = 0;  ///< attempts, including retried/failed ones
   std::uint64_t virtual_network_us = 0;
-  /// Wire-format sizes (see dist/wire.h) the RPCs would have shipped,
-  /// computed arithmetically from the same layout the codec pins.
+  /// Wire-format sizes (see dist/wire.h) the RPCs would have shipped.
+  /// Sampling responses are sized by wire::SampleResponseBytes over the
+  /// shard's flat response; the rest from the layouts the codecs pin.
   std::uint64_t bytes_sent = 0;      ///< client -> shards (requests)
   std::uint64_t bytes_received = 0;  ///< shards -> client (responses)
   // --- fault-tolerance observability ---
@@ -333,15 +334,19 @@ class GraphCluster {
 
   /// Shared engine for neighbour-shaped cross-request rounds (SampleMany /
   /// TraverseMany): groups every item's seeds by shard, ships one RPC per
-  /// touched shard via RunRpc, and reassembles per-item SampleReports.
-  /// `fill(s, item, positions, local)` performs one item group's
-  /// shard-side work for one attempt; `fallback(s, item, positions,
-  /// item_results, report)` may serve a failed shard's seeds from a
-  /// replica, returning whether it did.
+  /// touched shard via RunRpc, and scatters each shard's response into
+  /// per-item SampleReports in seed order. A shard's response is ONE flat
+  /// NeighborBatch — the SampleResponse wire layout — with one range per
+  /// (item, position), items in order. `fill(s, item, positions, resp)`
+  /// appends one item group's ranges for one attempt; `fallback(s, item,
+  /// positions, resp, report)` may append them from a replica instead when
+  /// the shard failed, returning whether it did. `draws_per_seed[item]`
+  /// sizes the response buffer (0 = unknown, grow as needed).
   template <typename Fill, typename Fallback>
   MultiSampleReport NeighborRound(
       const std::vector<const std::vector<VertexId>*>& item_seeds,
-      Fill&& fill, Fallback&& fallback);
+      const std::vector<std::size_t>& draws_per_seed, Fill&& fill,
+      Fallback&& fallback);
 
   /// Update delivery to one shard (crash handoff / retry loop). Pure
   /// w.r.t. stats_; the caller merges the outcome serially.

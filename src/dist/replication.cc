@@ -497,7 +497,8 @@ std::optional<ReplicationManager::ReplicaServe>
 ReplicationManager::SampleFromReplica(std::size_t shard,
                                       const std::vector<VertexId>& seeds,
                                       std::size_t fanout, bool weighted,
-                                      std::uint64_t rng_seed, EdgeType type) {
+                                      std::uint64_t rng_seed, EdgeType type,
+                                      NeighborBatch* out) {
   ShardRep& sr = *reps_[shard];
   // Lock order: shard mutex, then the epoch coordinator pin — the same
   // order PromoteLocked uses (mutex, then write barrier), so the two can
@@ -523,13 +524,13 @@ ReplicationManager::SampleFromReplica(std::size_t shard,
   ReplicaServe serve;
   serve.replica = best;
   serve.lag = lag;
-  serve.neighbors.resize(seeds.size());
   // Seeded exactly like the primary-path attempt so a caught-up replica
   // (lag 0) returns bit-identical samples.
   Xoshiro256 rng(rng_seed);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    rep.store->SampleNeighbors(seeds[i], fanout, weighted, rng,
-                               &serve.neighbors[i], type);
+  for (VertexId seed : seeds) {
+    rep.store->SampleNeighbors(seed, fanout, weighted, rng, &out->neighbors,
+                               type);
+    out->offsets.push_back(out->neighbors.size());
   }
   return serve;
 }

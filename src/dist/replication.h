@@ -145,9 +145,8 @@ class ReplicationManager {
     std::uint64_t skipped_replicas = 0;  ///< lagging/partitioned/crashed
   };
 
-  /// A replica-served batch of per-seed neighbour samples.
+  /// Which replica served a batch of seeds, and how far behind it was.
   struct ReplicaServe {
-    std::vector<std::vector<VertexId>> neighbors;  ///< one entry per seed
     std::size_t replica = 0;
     std::uint64_t lag = 0;  ///< wal_seq - applied_seq at serve time
   };
@@ -196,13 +195,15 @@ class ReplicationManager {
 
   /// Serve `seeds` of `shard` from the freshest replica whose lag is
   /// within the staleness budget, sampling with an RNG seeded exactly like
-  /// the primary path would (rng_seed). Pins the epoch coordinator for the
-  /// duration, so a racing promotion waits for this read to drain.
-  /// nullopt when no replica qualifies (caller degrades the seeds).
+  /// the primary path would (rng_seed). The draws are appended to `out`,
+  /// one range per seed (`out->offsets` must already hold its leading 0).
+  /// Pins the epoch coordinator for the duration, so a racing promotion
+  /// waits for this read to drain. nullopt, with `out` untouched, when no
+  /// replica qualifies (caller degrades the seeds).
   std::optional<ReplicaServe> SampleFromReplica(
       std::size_t shard, const std::vector<VertexId>& seeds,
       std::size_t fanout, bool weighted, std::uint64_t rng_seed,
-      EdgeType type);
+      EdgeType type, NeighborBatch* out);
 
   // --- Failover -----------------------------------------------------------
 

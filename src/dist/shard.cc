@@ -39,8 +39,9 @@ bool GraphShard::Traverse(VertexId src, std::size_t cap,
   requests_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<std::pair<VertexId, Weight>> nbrs =
       store_->Neighbors(src, type);
+  // No exact reserve: `out` is usually a whole response shared by many
+  // seeds, where reserving size() + n would reallocate on every call.
   const std::size_t n = std::min(cap, nbrs.size());
-  out->reserve(out->size() + n);
   for (std::size_t i = 0; i < n; ++i) out->push_back(nbrs[i].first);
   return true;
 }

@@ -75,6 +75,13 @@ std::string EncodeSampleResponse(const NeighborBatch& batch) {
   return out;
 }
 
+std::size_t SampleResponseBytes(const NeighborBatch& batch) {
+  const std::size_t draws =
+      batch.offsets.empty() ? 0 : batch.offsets.back() - batch.offsets.front();
+  return 1 + sizeof(std::uint32_t) +
+         batch.NumSeeds() * sizeof(std::uint32_t) + draws * sizeof(VertexId);
+}
+
 bool DecodeSampleResponse(const std::string& bytes, NeighborBatch* batch) {
   std::size_t pos = 0;
   if (bytes.empty() || bytes[pos++] != 'R') return false;

@@ -69,6 +69,9 @@ bool DecodeSampleRequest(const std::string& bytes, SampleRequest* req);
 /// The response reuses NeighborBatch (per-seed ranges).
 std::string EncodeSampleResponse(const NeighborBatch& batch);
 bool DecodeSampleResponse(const std::string& bytes, NeighborBatch* batch);
+/// EncodeSampleResponse(batch).size(), without encoding: what the cluster
+/// counts as received for a delivered sampling response.
+std::size_t SampleResponseBytes(const NeighborBatch& batch);
 
 std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch);
 bool DecodeUpdateBatch(const std::string& bytes,

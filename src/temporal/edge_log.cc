@@ -17,7 +17,12 @@ Status TemporalEdgeLog::Append(std::uint64_t timestamp,
 }
 
 std::size_t TemporalEdgeLog::AppendBatch(std::span<const TimedUpdate> batch) {
-  log_.reserve(log_.size() + batch.size());
+  // Grow geometrically: reserving exactly size() + batch.size() would
+  // reallocate (and copy the whole log) on every micro-batch.
+  const std::size_t needed = log_.size() + batch.size();
+  if (needed > log_.capacity()) {
+    log_.reserve(std::max(needed, 2 * log_.capacity()));
+  }
   std::uint64_t tail = log_.empty() ? 0 : log_.back().timestamp;
   bool have_tail = !log_.empty();
   std::size_t accepted = 0;

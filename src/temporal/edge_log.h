@@ -39,8 +39,8 @@ class TemporalEdgeLog {
     return Append(timestamp, EdgeUpdate{UpdateKind::kInsert, e});
   }
 
-  /// Append a whole batch with one capacity reserve and a single
-  /// monotonicity scan — the MicroBatcher's hot path. Entry-for-entry
+  /// Append a whole batch with a single monotonicity scan, growing the
+  /// log geometrically — the MicroBatcher's hot path. Entry-for-entry
   /// equivalent to calling Append in order: each entry older than the
   /// running tail timestamp is skipped and counted in rejected(); later
   /// valid entries still land. Returns the number accepted.

@@ -10,7 +10,9 @@
 //     never-crashed control cluster exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -266,6 +268,236 @@ TEST(ClusterFaultTest, CrashedShardDegradesOnlyItsOwnSeeds) {
   EXPECT_GT(degraded, 0u);
   EXPECT_EQ(report.degraded_seeds, degraded);
   EXPECT_GT(cluster.stats().crash_rejections, 0u);
+}
+
+// --- Multi-item rounds: the client-side scatter ----------------------------
+//
+// A SampleMany / TraverseMany round ships one flat response per shard with
+// every item's ranges back to back; the client scatters them into each
+// item's batch in seed order. The test below puts several items, a retried
+// shard and a replica-served shard into one round.
+
+/// Four sampling items over vertices 1..100 (degree 5, PopulateFanout) and
+/// dangling ids >= 5000 (no out-edges), with duplicates, mixed fanouts and
+/// both weightings; the empty item rides in the middle. `round` shifts
+/// every RNG seed.
+struct MixedRound {
+  std::vector<std::vector<VertexId>> seeds{
+      {},  // filled below: 1..40 then duplicates and a dangling id
+      {100, 98, 96, 94, 92, 90, 88, 86, 84, 82, 80, 78, 76, 74, 72, 70,
+       68, 66, 64, 62, 60, 58, 56, 54, 52, 50, 48, 46, 44, 42, 5001, 42, 42},
+      {},
+      {5002, 3, 99, 3, 60, 5003, 41}};
+
+  MixedRound() {
+    for (VertexId v = 1; v <= 40; ++v) seeds[0].push_back(v);
+    seeds[0].insert(seeds[0].end(), {7, 7, 5000, 1});
+  }
+
+  std::vector<SampleWorkItem> Sample(std::uint64_t round) const {
+    const std::size_t fanout[] = {3, 7, 2, 1};
+    const bool weighted[] = {true, false, true, true};
+    std::vector<SampleWorkItem> work(seeds.size());
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      work[i].seeds = &seeds[i];
+      work[i].fanout = fanout[i];
+      work[i].weighted = weighted[i];
+      work[i].rng_seed = 11 + i + 100 * round;
+    }
+    return work;
+  }
+
+  /// Caps below (3) and above (8) the degree.
+  std::vector<TraverseWorkItem> Traverse() const {
+    std::vector<TraverseWorkItem> work(2);
+    work[0].seeds = &seeds[0];
+    work[0].cap = 3;
+    work[1].seeds = &seeds[1];
+    work[1].cap = 8;
+    return work;
+  }
+};
+
+void ExpectSameReport(const SampleReport& got, const SampleReport& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.batch.offsets, want.batch.offsets) << what;
+  EXPECT_EQ(got.batch.neighbors, want.batch.neighbors) << what;
+  EXPECT_EQ(got.seed_status, want.seed_status) << what;
+  EXPECT_EQ(got.degraded_seeds, want.degraded_seeds) << what;
+}
+
+/// Each range holds what its seed owns: `per_seed` ids (0 for a dangling
+/// seed) from the seed's own neighbourhood {10s, ..., 10s + 4}.
+void ExpectRangesOfSeeds(const SampleReport& r,
+                         const std::vector<VertexId>& seeds,
+                         std::size_t per_seed, const std::string& what) {
+  ASSERT_EQ(r.batch.NumSeeds(), seeds.size()) << what;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const bool dangling = seeds[i] > 100;
+    EXPECT_EQ(r.batch.offsets[i + 1] - r.batch.offsets[i],
+              dangling ? 0 : per_seed)
+        << what << " seed " << seeds[i];
+    for (std::size_t j = r.batch.offsets[i]; j < r.batch.offsets[i + 1]; ++j) {
+      EXPECT_EQ(r.batch.neighbors[j] / 10, seeds[i]) << what;
+    }
+  }
+}
+
+TEST(ClusterFaultTest, MultiItemRoundMatchesSoloUnderFaultsAndFallback) {
+  const MixedRound mixed;
+  const std::vector<TraverseWorkItem> traverse = mixed.Traverse();
+  constexpr std::uint64_t kRounds = 6;
+
+  // (a) Fault-free: every item of the round equals the item issued alone,
+  // and holds exactly its seeds' ranges.
+  GraphCluster control(FaultyConfig(FaultConfig{}));
+  PopulateFanout(&control);
+  std::set<std::size_t> shards_hit;
+  for (const std::vector<VertexId>& seeds : mixed.seeds) {
+    for (VertexId v : seeds) {
+      shards_hit.insert(control.partitioner().ShardOf(v));
+    }
+  }
+  ASSERT_EQ(shards_hit.size(), control.num_shards());
+
+  std::vector<MultiSampleReport> want(kRounds);
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    const std::vector<SampleWorkItem> work = mixed.Sample(round);
+    want[round] = control.SampleMany(work);
+    ASSERT_EQ(want[round].reports.size(), work.size());
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const std::string what =
+          "round " + std::to_string(round) + " item " + std::to_string(i);
+      ExpectSameReport(want[round].reports[i],
+                       control.SampleNeighborsChecked(
+                           *work[i].seeds, work[i].fanout, work[i].weighted,
+                           work[i].rng_seed),
+                       what);
+      ExpectRangesOfSeeds(want[round].reports[i], *work[i].seeds,
+                          work[i].fanout, what);
+    }
+  }
+  const MultiSampleReport want_traverse = control.TraverseMany(traverse);
+  for (std::size_t i = 0; i < traverse.size(); ++i) {
+    const std::string what = "traverse item " + std::to_string(i);
+    ExpectSameReport(want_traverse.reports[i],
+                     control.TraverseMany({traverse[i]}).reports[0], what);
+    ExpectRangesOfSeeds(want_traverse.reports[i], *traverse[i].seeds,
+                        std::min<std::size_t>(traverse[i].cap, 5), what);
+  }
+
+  // (b) Lost requests and damaged responses within the retry budget: the
+  // retried shards' ranges land in the same slots.
+  FaultConfig fault;
+  fault.failure_prob = 0.2;
+  fault.corrupt_prob = 0.3;
+  ClusterConfig faulty_cfg = FaultyConfig(fault);
+  faulty_cfg.retry.max_attempts = 32;
+  GraphCluster faulty(faulty_cfg);
+  PopulateFanout(&faulty);
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    const std::vector<SampleWorkItem> work = mixed.Sample(round);
+    const MultiSampleReport got = faulty.SampleMany(work);
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const std::string what =
+          "faulty round " + std::to_string(round) + " item " +
+          std::to_string(i);
+      ExpectSameReport(got.reports[i], want[round].reports[i], what);
+      ExpectSameReport(faulty.SampleNeighborsChecked(
+                           *work[i].seeds, work[i].fanout, work[i].weighted,
+                           work[i].rng_seed),
+                       want[round].reports[i], what + " alone");
+    }
+    const MultiSampleReport got_traverse = faulty.TraverseMany(traverse);
+    for (std::size_t i = 0; i < traverse.size(); ++i) {
+      ExpectSameReport(got_traverse.reports[i], want_traverse.reports[i],
+                       "faulty traverse item " + std::to_string(i));
+    }
+  }
+  const ClusterStats st = faulty.stats();
+  EXPECT_GT(st.corrupt_responses, 0u);
+  EXPECT_GT(st.transient_faults, st.corrupt_responses) << "no kFail drawn";
+  EXPECT_EQ(st.degraded_seeds, 0u);
+
+  // (c) A primary in the middle of the response order crashed, its
+  // caught-up replica serving: sampled items are unchanged and exactly
+  // that shard's seeds are kStale. Traversal has no replica fallback, so
+  // there exactly those seeds degrade to empty ranges.
+  ClusterConfig replicated_cfg = FaultyConfig(FaultConfig{});
+  replicated_cfg.replication.num_replicas = 1;
+  // Never fail over: the crashed primary stays down for every round.
+  replicated_cfg.replication.suspicion_timeout_us = 1'000'000'000;
+  GraphCluster replicated(replicated_cfg);
+  PopulateFanout(&replicated);
+  ASSERT_TRUE(replicated.FlushReplication().ok());
+  constexpr std::size_t kVictim = 2;
+  replicated.CrashShard(kVictim);
+  const auto on_victim = [&](VertexId v) {
+    return replicated.partitioner().ShardOf(v) == kVictim;
+  };
+  std::size_t items_on_victim = 0;
+  for (const std::vector<VertexId>& seeds : mixed.seeds) {
+    items_on_victim += std::any_of(seeds.begin(), seeds.end(), on_victim);
+  }
+  ASSERT_GE(items_on_victim, 3u);
+
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    const std::vector<SampleWorkItem> work = mixed.Sample(round);
+    const MultiSampleReport got = replicated.SampleMany(work);
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const std::string what =
+          "replica round " + std::to_string(round) + " item " +
+          std::to_string(i);
+      const SampleReport& r = got.reports[i];
+      EXPECT_EQ(r.batch.offsets, want[round].reports[i].batch.offsets) << what;
+      EXPECT_EQ(r.batch.neighbors, want[round].reports[i].batch.neighbors)
+          << what;
+      EXPECT_EQ(r.degraded_seeds, 0u) << what;
+      for (std::size_t k = 0; k < work[i].seeds->size(); ++k) {
+        EXPECT_EQ(r.seed_status[k], on_victim((*work[i].seeds)[k])
+                                        ? SeedStatus::kStale
+                                        : SeedStatus::kOk)
+            << what << " seed " << (*work[i].seeds)[k];
+      }
+      ExpectSameReport(replicated.SampleNeighborsChecked(
+                           *work[i].seeds, work[i].fanout, work[i].weighted,
+                           work[i].rng_seed),
+                       r, what + " alone");
+    }
+  }
+  EXPECT_GT(replicated.stats().replica_read_seeds, 0u);
+  EXPECT_EQ(replicated.stats().failovers, 0u);
+
+  const MultiSampleReport got_traverse = replicated.TraverseMany(traverse);
+  for (std::size_t i = 0; i < traverse.size(); ++i) {
+    const std::string what = "replica traverse item " + std::to_string(i);
+    const SampleReport& r = got_traverse.reports[i];
+    const SampleReport& w = want_traverse.reports[i];
+    const std::vector<VertexId>& seeds = *traverse[i].seeds;
+    ASSERT_EQ(r.batch.NumSeeds(), seeds.size()) << what;
+    std::size_t degraded = 0;
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      const auto range = [](const SampleReport& rep, std::size_t k) {
+        return std::vector<VertexId>(
+            rep.batch.neighbors.begin() +
+                static_cast<std::ptrdiff_t>(rep.batch.offsets[k]),
+            rep.batch.neighbors.begin() +
+                static_cast<std::ptrdiff_t>(rep.batch.offsets[k + 1]));
+      };
+      if (on_victim(seeds[k])) {
+        ++degraded;
+        EXPECT_EQ(r.seed_status[k], SeedStatus::kDegraded) << what;
+        EXPECT_TRUE(range(r, k).empty()) << what;
+      } else {
+        EXPECT_EQ(r.seed_status[k], SeedStatus::kOk) << what;
+        EXPECT_EQ(range(r, k), range(w, k)) << what << " seed " << seeds[k];
+      }
+    }
+    EXPECT_GT(degraded, 0u) << what;
+    EXPECT_EQ(r.degraded_seeds, degraded) << what;
+    ExpectSameReport(replicated.TraverseMany({traverse[i]}).reports[0], r,
+                     what + " alone");
+  }
 }
 
 // --- RemoteSubgraphSampler resilience --------------------------------------

@@ -559,14 +559,17 @@ void PromoteScenario(sched::Test& t) {
     s->failovers = hr.failovers;
   });
   t.Spawn("replica-reader", [s] {
+    platod2gl::NeighborBatch drawn;
+    drawn.offsets.push_back(0);
     const auto serve = s->mgr->SampleFromReplica(0, {1}, /*fanout=*/2,
                                                  /*weighted=*/false,
-                                                 /*rng_seed=*/42, 0);
+                                                 /*rng_seed=*/42, 0, &drawn);
     if (serve.has_value()) {
       // Served before the promotion consumed the replica: caught up
       // (budget 0) and drawn from the replicated neighbourhood.
       sched::Check(serve->lag == 0, "budget 0 only admits a caught-up serve");
-      for (const VertexId v : serve->neighbors.at(0)) {
+      sched::Check(drawn.NumSeeds() == 1, "one range per seed");
+      for (const VertexId v : drawn.neighbors) {
         sched::Check(v == 2 || v == 3, "replica serves replicated edges only");
       }
     }

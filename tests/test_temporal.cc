@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <span>
 #include <vector>
@@ -198,7 +199,7 @@ TEST(TemporalLogTest, EmptyLogBehaviour) {
 
 TEST(TemporalLogTest, AppendBatchMatchesPerEntryAppend) {
   // AppendBatch must be entry-for-entry equivalent to Append in a loop:
-  // same accepted entries, same rejected count, in one reserve + scan.
+  // same accepted entries, same rejected count, in one scan.
   Xoshiro256 rng(21);
   std::vector<TimedUpdate> batch;
   std::uint64_t ts = 5;
@@ -257,6 +258,34 @@ TEST(TemporalLogTest, AppendBatchOnEmptyLogAndEmptyBatch) {
   EXPECT_EQ(log.AppendBatch(std::span<const TimedUpdate>(late)), 2u);
   EXPECT_EQ(log.rejected(), 1u);
   EXPECT_EQ(log.MaxTimestamp(), 12u);
+}
+
+TEST(TemporalLogTest, AppendBatchGrowsGeometrically) {
+  // The MicroBatcher appends many small batches. Reserving exactly
+  // size() + batch.size() would reallocate, copying the whole log, on
+  // every one of them; geometric growth reallocates O(log n) times.
+  constexpr std::size_t kBatches = 1000;
+  constexpr std::size_t kBatchSize = 4;
+  TemporalEdgeLog log;
+  std::vector<TimedUpdate> batch(kBatchSize);
+  std::uint64_t ts = 0;
+  std::size_t growths = 0;
+  std::size_t memory = log.MemoryUsage();
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    for (TimedUpdate& e : batch) {
+      e = TimedUpdate{++ts, EdgeUpdate{UpdateKind::kInsert, {b, ts, 1.0, 0}}};
+    }
+    ASSERT_EQ(log.AppendBatch(std::span<const TimedUpdate>(batch)),
+              kBatchSize);
+    if (log.MemoryUsage() != memory) {
+      ++growths;
+      memory = log.MemoryUsage();
+    }
+  }
+  EXPECT_EQ(log.size(), kBatches * kBatchSize);
+  // Doubling from the first batch: 4, 8, ..., 4096 entries.
+  EXPECT_LE(growths, 1 + std::bit_width(kBatches * kBatchSize));
+  EXPECT_GE(log.MemoryUsage(), log.size() * sizeof(TimedUpdate));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "dist/cluster.h"
@@ -40,6 +41,21 @@ TEST(WireTest, SampleResponseRoundTrip) {
   ASSERT_TRUE(wire::DecodeSampleResponse(bytes, &decoded));
   EXPECT_EQ(decoded.neighbors, batch.neighbors);
   EXPECT_EQ(decoded.offsets, batch.offsets);
+}
+
+TEST(WireTest, SampleResponseBytesMatchesEncoder) {
+  // The cluster sizes delivered responses with SampleResponseBytes instead
+  // of encoding them; it must agree with the encoder byte for byte.
+  std::vector<NeighborBatch> cases(4);
+  cases[1].offsets = {0};        // zero seeds
+  cases[2].offsets = {0, 0, 0};  // only empty ranges
+  cases[3].neighbors = {10, 20, 30, 40, 50};
+  cases[3].offsets = {0, 2, 2, 5, 5};  // empty ranges between and after
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(wire::SampleResponseBytes(cases[i]),
+              wire::EncodeSampleResponse(cases[i]).size())
+        << "case " << i;
+  }
 }
 
 TEST(WireTest, UpdateBatchRoundTrip) {
@@ -121,6 +137,43 @@ TEST(WireTest, ClusterByteAccountingMatchesCodec) {
   const auto before = cluster.stats().bytes_received;
   cluster.SampleNeighbors({1, 2, 3}, 4, true, 9);
   EXPECT_GT(cluster.stats().bytes_received, before + 3 * 4u);
+}
+
+TEST(WireTest, BatchedRoundReceivesOneResponsePerShard) {
+  // A cross-request round answers each shard's RPC with ONE flat
+  // SampleResponse holding every item's ranges: one header per shard,
+  // then 4 B length + 8 B per draw for each seed.
+  GraphCluster cluster(ClusterConfig{.num_shards = 2});
+  std::vector<EdgeUpdate> batch;
+  for (VertexId s = 1; s <= 100; ++s) {
+    batch.push_back({UpdateKind::kInsert, Edge{s, s + 1000, 1.0, 0}});
+  }
+  ASSERT_TRUE(cluster.ApplyBatch(batch).ok());
+
+  const std::vector<std::vector<VertexId>> seeds = {
+      {1, 2, 3, 4, 5}, {6, 7, 8, 9}, {10, 1, 1}};
+  const std::size_t fanouts[] = {4, 2, 3};
+  std::vector<SampleWorkItem> work(seeds.size());
+  std::vector<std::uint64_t> expect(cluster.num_shards(), 0);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i].seeds = &seeds[i];
+    work[i].fanout = fanouts[i];
+    work[i].rng_seed = i;
+    for (VertexId v : seeds[i]) {
+      expect[cluster.partitioner().ShardOf(v)] += 4 + 8 * fanouts[i];
+    }
+  }
+  std::uint64_t expect_received = 0;
+  for (std::uint64_t per_shard : expect) {
+    if (per_shard > 0) expect_received += 1 + 4 + per_shard;
+  }
+  ASSERT_EQ(std::count(expect.begin(), expect.end(), 0u), 0)
+      << "both shards take part";
+
+  const auto before = cluster.stats().bytes_received;
+  const MultiSampleReport multi = cluster.SampleMany(work);
+  ASSERT_EQ(multi.reports.size(), work.size());
+  EXPECT_EQ(cluster.stats().bytes_received - before, expect_received);
 }
 
 }  // namespace

@@ -40,6 +40,12 @@ compiler nor clang-tidy enforces:
                     StatsBinding fill loop; raw atomics are for STATE
                     (watermarks, depths, closed flags, snapshots), which
                     the name list deliberately does not match.
+  exact-reserve     a data member reserving exactly its own size plus an
+                    increment (`x_.reserve(x_.size() + n)`). A container
+                    that keeps growing by small appends then reallocates,
+                    copying every element, on each call: quadratic in
+                    its length. Let push_back grow it, or reserve
+                    max(needed, 2 * capacity()) when it is short.
 
 Comments and string literals are stripped before matching, so prose about
 "new insertions" does not trip the allocator rule. Suppress a single line
@@ -112,6 +118,10 @@ RE_ATOMIC_OP_TARGET = re.compile(
 RE_COUNTER_NAME = re.compile(r"(?:_counts?|_stats?)_?$")
 RE_ORDER_COMMENT = re.compile(r"//\s*order:")
 RE_NTS = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
+# `name_.reserve(name_.size() + ...)`: a member growing by an exact step.
+RE_EXACT_RESERVE = re.compile(
+    r"\b([A-Za-z_]\w*_)\s*\.\s*reserve\s*\(\s*\1\s*\.\s*size\s*\(\s*\)"
+    r"\s*\+")
 # An atomic integer member declaration and its name. Arrays (histogram
 # bucket banks) intentionally do not match.
 RE_ATOMIC_INT_MEMBER = re.compile(
@@ -222,6 +232,10 @@ def lint_file(path, rel):
                       f"atomic tally member `{m.group(1)}`: monotone "
                       "statistics belong in an obs::MetricRegistry "
                       "Counter (src/obs/metrics.h), not a raw atomic")
+        if RE_EXACT_RESERVE.search(line):
+            check("exact-reserve", lineno,
+                  "member reserves exactly size() + n: it reallocates on "
+                  "every append; grow geometrically instead")
         if RE_NTS.search(line) and \
                 not has_nearby_comment(lineno, re.compile(r"//"), 3):
             check("nts-comment", lineno,
