@@ -1,65 +1,9 @@
 #include "common/memory.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
-#include <new>
 
 namespace platod2gl {
-
-NodeArena::NodeArena(std::size_t chunk_bytes)
-    // Below one node-sized chunk the bump loop degenerates into one
-    // allocation per chunk; clamp to something that amortises.
-    : chunk_bytes_(std::max<std::size_t>(chunk_bytes, 4096)) {}
-
-void* NodeArena::Allocate(std::size_t bytes) {
-  const std::size_t cls = SizeClass(bytes);
-  const std::size_t rounded = cls * kAlignment;
-  SpinlockGuard lock(mu_);
-  if (cls < free_lists_.size() && free_lists_[cls] != nullptr) {
-    FreeBlock* block = free_lists_[cls];
-    free_lists_[cls] = block->next;
-    live_bytes_ += rounded;
-    return block;
-  }
-  if (rounded > bump_remaining_) {
-    // Oversized requests get a dedicated chunk; the (now-abandoned) tail
-    // of the previous chunk is counted as slack, not leaked list state.
-    const std::size_t want = std::max(rounded, chunk_bytes_);
-    chunks_.push_back(std::make_unique<std::byte[]>(want));
-    bump_ = chunks_.back().get();
-    bump_remaining_ = want;
-    total_bytes_ += want;
-  }
-  void* p = bump_;
-  bump_ += rounded;
-  bump_remaining_ -= rounded;
-  live_bytes_ += rounded;
-  return p;
-}
-
-void NodeArena::Deallocate(void* p, std::size_t bytes) {
-  if (p == nullptr) return;
-  const std::size_t cls = SizeClass(bytes);
-  SpinlockGuard lock(mu_);
-  if (cls >= free_lists_.size()) free_lists_.resize(cls + 1, nullptr);
-  // The dead block itself stores the free-list link (kAlignment >=
-  // sizeof(FreeBlock), so every class fits one).
-  auto* block = new (p) FreeBlock{free_lists_[cls]};  // pd2gl-lint: allow-naked-new
-  free_lists_[cls] = block;
-  live_bytes_ -= cls * kAlignment;
-}
-
-std::size_t NodeArena::MemoryUsage() const {
-  SpinlockGuard lock(mu_);
-  return total_bytes_ + chunks_.capacity() * sizeof(chunks_[0]) +
-         free_lists_.capacity() * sizeof(FreeBlock*);
-}
-
-std::size_t NodeArena::LiveBytes() const {
-  SpinlockGuard lock(mu_);
-  return live_bytes_;
-}
 
 std::size_t StringBytes(const std::string& s) {
   // Heap allocation only happens above the SSO capacity.

@@ -9,13 +9,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "common/spinlock.h"
-#include "common/thread_annotations.h"
 
 namespace platod2gl {
 
@@ -43,85 +38,6 @@ struct MemoryBreakdown {
   std::size_t Total() const {
     return topology_bytes + index_bytes + key_bytes + other_bytes;
   }
-};
-
-/// Shard-local bump allocator with size-class free lists, built for
-/// samtree nodes (docs/sampling_simd.md §arena).
-///
-/// The sampling descent walks root → leaf touching one node per level;
-/// with nodes individually malloc'd, consecutive levels stride the whole
-/// heap and every hop is a cold miss. A NodeArena instead carves nodes out
-/// of large contiguous chunks in allocation order — BulkBuild and the
-/// bottom-up rebuild allocate level by level, so the nodes a descent visits
-/// end up near one another and the `__builtin_prefetch` of the next level
-/// actually lands in an open row.
-///
-/// Design points:
-///   * Allocate() bumps within the current chunk; frees go to a per-size
-///     free list (node sizes are a handful of fixed classes) and are
-///     reused before the bump pointer advances. Chunks are only returned
-///     to the OS when the arena itself dies, so the arena must outlive
-///     every node carved from it (TopologyStore declares it before the
-///     tree map for exactly this reason).
-///   * Thread safety: a spinlock guards the free lists and bump pointer.
-///     The batch updater mutates distinct samtrees of one store from
-///     several threads at once, and splits/merges allocate — so the arena
-///     cannot rely on any per-tree exclusivity.
-///   * Deallocate() needs the allocation size back (unique_ptr deleters
-///     know their node type), which keeps headers off the fast path and
-///     nodes tightly packed.
-class NodeArena {
- public:
-  /// Alignment of every returned block; node types must not over-align.
-  static constexpr std::size_t kAlignment = 16;
-
-  explicit NodeArena(std::size_t chunk_bytes = 64 * 1024);
-
-  NodeArena(const NodeArena&) = delete;
-  NodeArena& operator=(const NodeArena&) = delete;
-
-  /// A kAlignment-aligned block of at least `bytes` bytes. Never fails
-  /// except by throwing std::bad_alloc.
-  void* Allocate(std::size_t bytes);
-
-  /// Return a block previously obtained from Allocate(bytes) — the same
-  /// `bytes` value must be passed back.
-  void Deallocate(void* p, std::size_t bytes);
-
-  /// Total bytes reserved from the OS (chunks; an upper bound on live).
-  std::size_t MemoryUsage() const;
-
-  /// Bytes currently handed out to live allocations.
-  std::size_t LiveBytes() const;
-
-  /// Reserved-but-idle bytes (chunk slack + free lists) — what Memory()
-  /// accounting should add on top of per-node logical sizes.
-  std::size_t SlackBytes() const {
-    const std::size_t total = MemoryUsage();
-    const std::size_t live = LiveBytes();
-    return total > live ? total - live : 0;
-  }
-
- private:
-  struct FreeBlock {
-    FreeBlock* next;
-  };
-
-  static std::size_t SizeClass(std::size_t bytes) {
-    // Classes are kAlignment-granular; class 0 is unused so every block
-    // can hold the intrusive free-list pointer.
-    const std::size_t cls = (bytes + kAlignment - 1) / kAlignment;
-    return cls == 0 ? 1 : cls;
-  }
-
-  mutable Spinlock mu_;
-  std::vector<std::unique_ptr<std::byte[]>> chunks_ GUARDED_BY(mu_);
-  std::vector<FreeBlock*> free_lists_ GUARDED_BY(mu_);  // index = size class
-  std::byte* bump_ GUARDED_BY(mu_) = nullptr;
-  std::size_t bump_remaining_ GUARDED_BY(mu_) = 0;
-  std::size_t chunk_bytes_;
-  std::size_t total_bytes_ GUARDED_BY(mu_) = 0;
-  std::size_t live_bytes_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace platod2gl

@@ -28,7 +28,6 @@ bool EnvForcesScalar() {
 // -1 = undecided (resolve from CPUID + environment on first use),
 //  0 = scalar, 1 = AVX2.
 std::atomic<int> g_avx2_mode{-1};
-std::atomic<bool> g_prefetch{true};
 
 std::size_t FindFirstGreaterScalar(const Weight* a, std::size_t n,
                                    std::size_t start, Weight r) {
@@ -121,14 +120,6 @@ void AddToRange(Weight* a, std::size_t begin, std::size_t end, Weight delta) {
   }
 #endif
   AddToRangeScalar(a, begin, end, delta);
-}
-
-// order: independent feature flag; no data is published through it
-bool PrefetchEnabled() { return g_prefetch.load(std::memory_order_relaxed); }
-
-void SetPrefetchEnabled(bool enabled) {
-  // order: independent feature flag; no data is published through it
-  g_prefetch.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace simd

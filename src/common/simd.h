@@ -59,11 +59,6 @@ std::size_t FindFirstGreater(const Weight* a, std::size_t n,
 /// is bit-identical across dispatch flavours.
 void AddToRange(Weight* a, std::size_t begin, std::size_t end, Weight delta);
 
-/// Software-prefetch switch for the samtree descent (benchmark ablation
-/// knob; defaults to on).
-bool PrefetchEnabled();
-void SetPrefetchEnabled(bool enabled);
-
 /// Hint the prefetcher at the next descent level (read, high locality).
 inline void PrefetchRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <set>
 #include <sstream>
 
@@ -23,9 +22,6 @@ struct Samtree::Node {
   explicit Node(bool leaf) : is_leaf(leaf) {}
   virtual ~Node() = default;
   const bool is_leaf;
-  // Where this node's storage came from (nullptr = heap). NodeDeleter
-  // reads it back on destruction, so trees can mix heap and arena nodes.
-  NodeArena* arena = nullptr;
 };
 
 struct Samtree::LeafNode : Samtree::Node {
@@ -52,47 +48,12 @@ struct Samtree::InternalNode : Samtree::Node {
   std::vector<NodePtr> children;
 };
 
-void Samtree::NodeDeleter::operator()(Node* n) const {
-  if (n == nullptr) return;
-  NodeArena* arena = n->arena;
-  if (arena == nullptr) {
-    delete n;  // pd2gl-lint: allow-naked-new (heap half of the arena deleter)
-    return;
-  }
-  const std::size_t bytes =
-      n->is_leaf ? sizeof(LeafNode) : sizeof(InternalNode);
-  n->~Node();  // virtual: destroys the derived node
-  arena->Deallocate(n, bytes);
-}
+// Per-node helpers ----------------------------------------------------------
 
 namespace {
 
 using LeafNode = Samtree::LeafNode;
 using InternalNode = Samtree::InternalNode;
-
-/// Construct a node on the configured arena (heap when arena == nullptr)
-/// and stamp its origin for NodeDeleter. Converts implicitly to NodePtr.
-template <typename T, typename... Args>
-std::unique_ptr<T, Samtree::NodeDeleter> AllocNode(NodeArena* arena,
-                                                   Args&&... args) {
-  static_assert(alignof(T) <= NodeArena::kAlignment,
-                "samtree nodes must fit the arena alignment");
-  T* n = nullptr;
-  if (arena != nullptr) {
-    void* mem = arena->Allocate(sizeof(T));
-    n = new (mem) T(std::forward<Args>(args)...);  // pd2gl-lint: allow-naked-new
-  } else {
-    n = new T(std::forward<Args>(args)...);  // pd2gl-lint: allow-naked-new
-  }
-  n->arena = arena;
-  return std::unique_ptr<T, Samtree::NodeDeleter>(n);
-}
-
-}  // namespace
-
-// Per-node helpers ----------------------------------------------------------
-
-namespace {
 
 std::size_t NodeEntryCount(const Samtree::Node* n);
 Weight NodeTotalWeight(const Samtree::Node* n);
@@ -238,9 +199,6 @@ Samtree Samtree::BulkBuild(std::vector<std::pair<VertexId, Weight>> neighbors,
 
   // Pack leaves: ceil(n / capacity) even chunks keeps every leaf within
   // [capacity/2, capacity] (Definition 1) while staying one pass.
-  // With an arena configured, the left-to-right, level-by-level
-  // allocation order below is what makes descents stride contiguous
-  // memory instead of the heap.
   std::vector<NodePtr> level;
   std::vector<VertexId> level_mins;
   const std::size_t num_leaves = (n + capacity - 1) / capacity;
@@ -249,8 +207,7 @@ Samtree Samtree::BulkBuild(std::vector<std::pair<VertexId, Weight>> neighbors,
     const std::size_t remaining_leaves = num_leaves - leaf_idx;
     const std::size_t take =
         (n - cursor + remaining_leaves - 1) / remaining_leaves;
-    auto leaf =
-        AllocNode<LeafNode>(tree.config_.arena, tree.config_.compress_ids);
+    auto leaf = std::make_unique<LeafNode>(tree.config_.compress_ids);
     std::vector<VertexId> ids;
     std::vector<Weight> weights;
     ids.reserve(take);
@@ -274,8 +231,7 @@ Samtree Samtree::BulkBuild(std::vector<std::pair<VertexId, Weight>> neighbors,
     for (std::size_t p = 0; p < num_parents; ++p) {
       const std::size_t remaining = num_parents - p;
       const std::size_t take = (m - child + remaining - 1) / remaining;
-      auto node = AllocNode<InternalNode>(tree.config_.arena,
-                                          tree.config_.compress_ids);
+      auto node = std::make_unique<InternalNode>(tree.config_.compress_ids);
       parent_mins.push_back(level_mins[child]);
       for (std::size_t i = 0; i < take; ++i, ++child) {
         node->min_ids.Append(level_mins[child]);
@@ -322,7 +278,7 @@ Samtree::NodePtr Samtree::SplitLeaf(LeafNode* leaf, VertexId* sibling_min) {
   weights.resize(pivot);
 
   leaf->Assign(ids, weights, config_.compress_ids);
-  auto sibling = AllocNode<LeafNode>(config_.arena, config_.compress_ids);
+  auto sibling = std::make_unique<LeafNode>(config_.compress_ids);
   sibling->Assign(right_ids, right_weights, config_.compress_ids);
   *sibling_min = right_ids.front();
 
@@ -336,7 +292,7 @@ Samtree::NodePtr Samtree::SplitInternal(InternalNode* node,
   // Internal entries are ordered, so the split is an exact median cut
   // (Section IV-C, "our method is much simpler").
   const std::size_t mid = node->children.size() / 2;
-  auto sibling = AllocNode<InternalNode>(config_.arena, config_.compress_ids);
+  auto sibling = std::make_unique<InternalNode>(config_.compress_ids);
   *sibling_min = node->min_ids.Get(mid);
 
   for (std::size_t i = mid; i < node->children.size(); ++i) {
@@ -444,7 +400,7 @@ void Samtree::InsertUnchecked(VertexId v, Weight w) {
 void Samtree::InsertImpl(VertexId v, Weight w, bool check_existing) {
   BumpVersion();
   if (!root_) {
-    auto leaf = AllocNode<LeafNode>(config_.arena, config_.compress_ids);
+    auto leaf = std::make_unique<LeafNode>(config_.compress_ids);
     leaf->ids.Append(v);
     leaf->fstable.Append(w);
     root_ = std::move(leaf);
@@ -457,7 +413,7 @@ void Samtree::InsertImpl(VertexId v, Weight w, bool check_existing) {
   if (out.inserted) ++count_;
   if (out.sibling) {
     // Grow a new root above the split (the only way a samtree gains height).
-    auto new_root = AllocNode<InternalNode>(config_.arena, config_.compress_ids);
+    auto new_root = std::make_unique<InternalNode>(config_.compress_ids);
     new_root->min_ids.Append(NodeMinId(root_.get()));
     new_root->min_ids.Append(out.sibling_min);
     new_root->children.push_back(std::move(root_));
@@ -719,18 +675,17 @@ BatchScratch& Scratch() {
 
 }  // namespace
 
-void Samtree::SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
-                                  std::vector<VertexId>* out) const {
-  assert(root_ && "SampleWeightedBatch on an empty samtree");
-  // Batch granularity on purpose: a per-draw timer would cost a
-  // comparable order to the descent itself (obs/profile.h).
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kSamtreeDescent);
-  if (k == 0) return;
+void Samtree::SampleWeighted(std::size_t k, Xoshiro256& rng,
+                             std::vector<VertexId>* out) const {
+  out->reserve(out->size() + k);
   if (k < kBatchMinDraws) {
-    out->reserve(out->size() + k);
     for (std::size_t i = 0; i < k; ++i) out->push_back(SampleWeighted(rng));
     return;
   }
+  assert(root_ && "SampleWeighted on an empty samtree");
+  // Batch granularity on purpose: a per-draw timer would cost a
+  // comparable order to the descent itself (obs/profile.h).
+  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kSamtreeDescent);
   const Weight total = TotalWeight();
   BatchScratch& s = Scratch();
   s.r.resize(k);
@@ -740,7 +695,6 @@ void Samtree::SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
   // (and the distributed retry path) rely on. Draws keep their original
   // slots throughout; nothing is reordered.
   for (std::size_t i = 0; i < k; ++i) s.r[i] = rng.NextDouble(total);
-  out->reserve(out->size() + k);
 
   if (root_->is_leaf) {
     const auto* leaf = static_cast<const LeafNode*>(root_.get());
@@ -758,7 +712,6 @@ void Samtree::SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
   // subtraction — but batching it keeps one node's CSTable hot for every
   // draw routed through it and gives each child prefetch a full pass
   // worth of latency to land before the next level touches it.
-  const bool prefetch = simd::PrefetchEnabled();
   s.nodes.assign(k, root_.get());
   const std::size_t height = Height();
   for (std::size_t level = 0; level + 1 < height; ++level) {
@@ -767,7 +720,7 @@ void Samtree::SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
       const std::size_t j = in->cstable.FindIndex(s.r[d]);
       if (j > 0) s.r[d] -= in->cstable.Prefix(j - 1);
       const Node* child = in->children[j].get();
-      if (prefetch) simd::PrefetchRead(child);
+      simd::PrefetchRead(child);
       s.nodes[d] = child;
     }
   }
@@ -785,20 +738,18 @@ void Samtree::SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
   }
 }
 
-void Samtree::SampleUniformBatch(std::size_t k, Xoshiro256& rng,
-                                 std::vector<VertexId>* out) const {
-  assert(root_ && "SampleUniformBatch on an empty samtree");
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kSamtreeDescent);
-  if (k == 0) return;
+void Samtree::SampleUniform(std::size_t k, Xoshiro256& rng,
+                            std::vector<VertexId>* out) const {
+  out->reserve(out->size() + k);
   if (k < kBatchMinDraws) {
-    out->reserve(out->size() + k);
     for (std::size_t i = 0; i < k; ++i) out->push_back(SampleUniform(rng));
     return;
   }
+  assert(root_ && "SampleUniform on an empty samtree");
+  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kSamtreeDescent);
   BatchScratch& s = Scratch();
   s.u.resize(k);
   for (std::size_t i = 0; i < k; ++i) s.u[i] = rng.NextUint64(count_);
-  out->reserve(out->size() + k);
 
   if (root_->is_leaf) {
     const auto* leaf = static_cast<const LeafNode*>(root_.get());
@@ -812,7 +763,6 @@ void Samtree::SampleUniformBatch(std::size_t k, Xoshiro256& rng,
   // per-child counts (exact integer arithmetic — trivially bit-equal to
   // the scalar count walk). The leaf draw itself is already O(1), so
   // routing is the only thing a uniform batch can amortise.
-  const bool prefetch = simd::PrefetchEnabled();
   s.nodes.assign(k, root_.get());
   const std::size_t height = Height();
   for (std::size_t level = 0; level + 1 < height; ++level) {
@@ -826,33 +776,13 @@ void Samtree::SampleUniformBatch(std::size_t k, Xoshiro256& rng,
       }
       s.u[d] = r;
       const Node* child = in->children[j].get();
-      if (prefetch) simd::PrefetchRead(child);
+      simd::PrefetchRead(child);
       s.nodes[d] = child;
     }
   }
   for (std::size_t d = 0; d < k; ++d) {
     out->push_back(static_cast<const LeafNode*>(s.nodes[d])->ids.Get(s.u[d]));
   }
-}
-
-void Samtree::SampleWeighted(std::size_t k, Xoshiro256& rng,
-                             std::vector<VertexId>* out) const {
-  if (root_ && k >= kBatchMinDraws) {
-    SampleWeightedBatch(k, rng, out);
-    return;
-  }
-  out->reserve(out->size() + k);
-  for (std::size_t i = 0; i < k; ++i) out->push_back(SampleWeighted(rng));
-}
-
-void Samtree::SampleUniform(std::size_t k, Xoshiro256& rng,
-                            std::vector<VertexId>* out) const {
-  if (root_ && k >= kBatchMinDraws) {
-    SampleUniformBatch(k, rng, out);
-    return;
-  }
-  out->reserve(out->size() + k);
-  for (std::size_t i = 0; i < k; ++i) out->push_back(SampleUniform(rng));
 }
 
 std::vector<VertexId> Samtree::SampleWeightedDistinct(std::size_t k,

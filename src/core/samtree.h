@@ -45,15 +45,6 @@ struct SamtreeConfig {
   std::uint32_t node_capacity = 256;  ///< c in the paper
   std::uint32_t alpha = 0;            ///< α-Split slackness
   bool compress_ids = true;           ///< CP-IDs compression (Section VI-A)
-
-  /// Optional shard-local node arena (docs/sampling_simd.md). When set,
-  /// every node this tree allocates from now on is carved out of the
-  /// arena in allocation order — contiguous for BulkBuild — instead of
-  /// individually heap-allocated. Each node remembers its origin, so a
-  /// tree may legally hold a mix of heap and arena nodes (e.g. after
-  /// InstallTree moves a heap-built tree into an arena-owning store).
-  /// The arena must outlive every tree configured with it.
-  NodeArena* arena = nullptr;
 };
 
 /// Ways Samtree::CorruptForTest can deliberately damage a tree so the
@@ -83,14 +74,7 @@ class Samtree {
   struct Node;
   struct LeafNode;
   struct InternalNode;
-
-  /// Deleter that returns a node to the arena it was carved from (plain
-  /// `delete` for heap nodes) — each node records its origin, so trees
-  /// can mix the two freely.
-  struct NodeDeleter {
-    void operator()(Node* n) const;
-  };
-  using NodePtr = std::unique_ptr<Node, NodeDeleter>;
+  using NodePtr = std::unique_ptr<Node>;
 
   explicit Samtree(SamtreeConfig config = {});
   ~Samtree();
@@ -151,15 +135,8 @@ class Samtree {
   /// Draw one neighbour uniformly at random. Tree must be non-empty.
   VertexId SampleUniform(Xoshiro256& rng) const;
 
-  /// Draw k neighbours with replacement (weighted or uniform). Delegates
-  /// to the batched descent below once k is large enough to amortise its
-  /// set-up; the output is identical either way.
-  void SampleWeighted(std::size_t k, Xoshiro256& rng,
-                      std::vector<VertexId>* out) const;
-  void SampleUniform(std::size_t k, Xoshiro256& rng,
-                     std::vector<VertexId>* out) const;
-
-  /// Batched multi-draw descent (docs/sampling_simd.md): draw all k
+  /// Draw k neighbours with replacement, appended to *out, by the
+  /// batched multi-draw descent (docs/sampling_simd.md): draw all k
   /// variates up front — consuming the RNG in exactly the order the
   /// k-iteration loop over SampleWeighted(rng) would — then route them
   /// down the tree level-synchronously (every leaf sits on one level, so
@@ -169,15 +146,17 @@ class Samtree {
   /// descents resolve four at a time in AVX2 lanes (FenwickFindIndices).
   /// Draws never leave their original slots, so out[i] is bit-identical
   /// to the i-th draw of the one-at-a-time loop under the same seed, with
-  /// or without SIMD dispatch. Tree must be non-empty.
-  void SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
-                           std::vector<VertexId>* out) const;
+  /// or without SIMD dispatch. A k too small to amortise the set-up runs
+  /// the plain per-draw loop instead, with the same output. Tree must be
+  /// non-empty.
+  void SampleWeighted(std::size_t k, Xoshiro256& rng,
+                      std::vector<VertexId>* out) const;
 
-  /// Uniform flavour of the batched descent: the same level-synchronous
+  /// Uniform flavour of the k-draw descent: the same level-synchronous
   /// routing over the per-child counts (exact integer arithmetic). Same
   /// output as the loop over SampleUniform(rng). Tree must be non-empty.
-  void SampleUniformBatch(std::size_t k, Xoshiro256& rng,
-                          std::vector<VertexId>* out) const;
+  void SampleUniform(std::size_t k, Xoshiro256& rng,
+                     std::vector<VertexId>* out) const;
 
   /// Draw up to k *distinct* neighbours, weighted, without replacement:
   /// each draw temporarily zeroes the drawn edge's weight (an O(log n)
@@ -234,13 +213,6 @@ class Samtree {
   void ResetStats() { stats_ = {}; }
 
   const SamtreeConfig& config() const { return config_; }
-
-  /// Redirect *future* node allocations to `arena` (nullptr = heap).
-  /// Existing nodes keep their origin — NodeDeleter routes each one back
-  /// correctly — so this is safe on a live tree. TopologyStore calls it
-  /// when InstallTree adopts an externally-built tree, so splits after
-  /// adoption land in the shard arena.
-  void SetArena(NodeArena* arena) { config_.arena = arena; }
 
   /// Verify every Definition-1 / ordering / aggregation invariant:
   /// node-capacity and fill bounds, uniform leaf depth, routing-ID order

@@ -3,12 +3,7 @@
 namespace platod2gl {
 
 TopologyStore::TopologyStore(SamtreeConfig config, std::size_t num_shards)
-    : config_(config), trees_(num_shards) {
-  // Every tree this store creates allocates its nodes from the store's
-  // arena; a caller-supplied arena pointer is overridden — the arena must
-  // be owned by (and die with) the store.
-  config_.arena = &arena_;
-}
+    : config_(config), trees_(num_shards) {}
 
 void TopologyStore::AddEdge(VertexId src, VertexId dst, Weight w) {
   WithTree(src, [&](Samtree& tree) {
@@ -35,10 +30,6 @@ void TopologyStore::InstallTree(VertexId src, Samtree&& tree) {
     if (existing.empty()) {
       delta = tree.size();
       existing = std::move(tree);
-      // The adopted tree was built outside the store (heap-allocated
-      // nodes, e.g. checkpoint restore's BulkBuild). Those nodes keep
-      // their origin, but splits from now on land in the shard arena.
-      existing.SetArena(config_.arena);
       return;
     }
     // Merge path: the slower but lossless fallback.
@@ -165,9 +156,6 @@ MemoryBreakdown TopologyStore::Memory() const {
     mem.index_bytes += m.index_bytes;
     mem.other_bytes += m.other_bytes;
   });
-  // Per-node sizes are already counted by tree.Memory(); what remains of
-  // the arena is its reserved-but-idle space (chunk slack + free lists).
-  mem.other_bytes += arena_.SlackBytes();
   return mem;
 }
 

@@ -165,13 +165,6 @@ class TopologyStore {
 
  private:
   SamtreeConfig config_;
-  // Shard-local node arena: every samtree of this store carves its nodes
-  // here, so a sampling descent strides one contiguous region instead of
-  // the global heap (docs/sampling_simd.md). Declared before trees_ —
-  // members destroy in reverse order, so every node dies before its
-  // arena. Internally locked: the batch updater grows distinct trees
-  // from several threads at once.
-  NodeArena arena_;
   CuckooMap<Samtree> trees_;
   std::atomic<std::size_t> num_edges_{0};
 };

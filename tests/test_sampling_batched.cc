@@ -1,9 +1,9 @@
 // Batched / SIMD sampling hot path (docs/sampling_simd.md): the batched
 // multi-draw descent and its SIMD kernels must be *bit-identical* to the
 // scalar one-at-a-time paths under the same seed, across dispatch
-// flavours, and statistically sound under interleaved mutations; the
-// shard node arena must survive full build/mutate/destroy lifecycles
-// cleanly (the suite runs under ASan/UBSan in CI).
+// flavours, and statistically sound under interleaved mutations; samtrees
+// must survive full build/mutate/destroy lifecycles cleanly (the suite
+// runs under ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +12,9 @@
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
-#include "common/memory.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "core/samtree.h"
@@ -39,10 +39,9 @@ std::vector<Weight> RandomWeights(Xoshiro256& rng, std::size_t n) {
   return w;
 }
 
-Samtree BuildTree(std::size_t n, std::uint32_t capacity, std::uint64_t seed,
-                  NodeArena* arena = nullptr) {
+Samtree BuildTree(std::size_t n, std::uint32_t capacity, std::uint64_t seed) {
   Samtree tree(SamtreeConfig{.node_capacity = capacity, .alpha = 0,
-                             .compress_ids = true, .arena = arena});
+                             .compress_ids = true});
   Xoshiro256 rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
     tree.Insert(static_cast<VertexId>(i * 7 + 3), 0.05 + rng.NextDouble());
@@ -188,19 +187,12 @@ TEST_P(BatchExactnessTest, WeightedBatchBitIdenticalToSingleDraws) {
         }
         std::vector<VertexId> batch;
         Xoshiro256 rng_batch(seed ^ k);
-        tree.SampleWeightedBatch(k, rng_batch, &batch);
+        tree.SampleWeighted(k, rng_batch, &batch);
         ASSERT_EQ(singles, batch) << "n=" << n << " cap=" << cap
                                   << " k=" << k;
         // Identical RNG consumption: both streams must now be in the
         // same state.
         ASSERT_EQ(rng_single.Next(), rng_batch.Next());
-
-        // The k-ary convenience overload delegates to the batch and must
-        // produce the same output again.
-        std::vector<VertexId> karg;
-        Xoshiro256 rng_karg(seed ^ k);
-        tree.SampleWeighted(k, rng_karg, &karg);
-        ASSERT_EQ(singles, karg);
       }
     }
   }
@@ -218,7 +210,7 @@ TEST_P(BatchExactnessTest, UniformBatchBitIdenticalToSingleDraws) {
       }
       std::vector<VertexId> batch;
       Xoshiro256 rng_batch(seed + k);
-      tree.SampleUniformBatch(k, rng_batch, &batch);
+      tree.SampleUniform(k, rng_batch, &batch);
       ASSERT_EQ(singles, batch) << "n=" << n << " k=" << k;
       ASSERT_EQ(rng_single.Next(), rng_batch.Next());
     }
@@ -234,9 +226,9 @@ TEST_P(BatchExactnessTest, ScalarAndSimdDispatchProduceIdenticalSamples) {
     std::vector<VertexId> scalar_out, simd_out;
     Xoshiro256 rng_s(seed + k), rng_v(seed + k);
     simd::SetAvx2EnabledForTest(false);
-    tree.SampleWeightedBatch(k, rng_s, &scalar_out);
+    tree.SampleWeighted(k, rng_s, &scalar_out);
     simd::SetAvx2EnabledForTest(true);
-    tree.SampleWeightedBatch(k, rng_v, &simd_out);
+    tree.SampleWeighted(k, rng_v, &simd_out);
     ASSERT_EQ(scalar_out, simd_out) << "k=" << k;
     ASSERT_EQ(rng_s.Next(), rng_v.Next());
   }
@@ -308,7 +300,7 @@ TEST(BatchDistribution, WeightedBatchUnbiasedUnderInterleavedUpdates) {
     std::vector<VertexId> out;
     for (int b = 0; b < batches; ++b) {
       out.clear();
-      tree.SampleWeightedBatch(k, rng, &out);
+      tree.SampleWeighted(k, rng, &out);
       for (VertexId v : out) ++hits[v];
     }
     const int draws = batches * static_cast<int>(k);
@@ -356,79 +348,53 @@ TEST(XoshiroJump, JumpedStreamsAreDeterministicAndDistinct) {
   EXPECT_TRUE(any_diff) << "jump left the stream in place";
 }
 
-// --- NodeArena lifecycle (ASan/UBSan-clean by construction) -------------
+// --- Samtree lifecycle (ASan/UBSan-clean by construction) ---------------
 
-TEST(NodeArenaLifecycle, BuildMutateSampleDestroyReleasesEverything) {
-  NodeArena arena;
-  EXPECT_EQ(arena.LiveBytes(), 0u);
-  {
-    Samtree tree = BuildTree(3000, 8, 77, &arena);
-    EXPECT_GT(arena.LiveBytes(), 0u);
-    EXPECT_GE(arena.MemoryUsage(), arena.LiveBytes());
-
-    // Churn: removals force merges, re-inserts force splits — node
-    // allocation and deallocation cycle through the free lists.
-    Xoshiro256 rng(5);
-    for (int round = 0; round < 3; ++round) {
-      for (VertexId v = 0; v < 3000 * 7; v += 14) tree.Remove(v);
-      for (VertexId v = 0; v < 3000 * 7; v += 14) {
-        tree.Insert(v, 0.05 + rng.NextDouble());
-      }
-      std::vector<VertexId> out;
-      tree.SampleWeightedBatch(128, rng, &out);
-      EXPECT_EQ(out.size(), 128u);
+TEST(SamtreeLifecycle, BuildMutateSampleDestroyReleasesEverything) {
+  Samtree tree = BuildTree(3000, 8, 77);
+  // Churn: removals force merges, re-inserts force splits, so nodes are
+  // freed and allocated again every round. LeakSanitizer checks that
+  // destroying the tree releases all of them.
+  Xoshiro256 rng(5);
+  for (int round = 0; round < 3; ++round) {
+    for (VertexId v = 3; v < 3000 * 7; v += 14) tree.Remove(v);
+    for (VertexId v = 3; v < 3000 * 7; v += 14) {
+      tree.Insert(v, 0.05 + rng.NextDouble());
     }
-    std::string err;
-    EXPECT_TRUE(tree.CheckInvariants(&err)) << err;
+    std::vector<VertexId> out;
+    tree.SampleWeighted(128, rng, &out);
+    EXPECT_EQ(out.size(), 128u);
   }
-  // Every node was arena-carved; destruction must return all of it.
-  EXPECT_EQ(arena.LiveBytes(), 0u);
+  EXPECT_GT(tree.stats().merges, 0u);
+  EXPECT_GT(tree.stats().leaf_splits, 0u);
+  std::string err;
+  EXPECT_TRUE(tree.CheckInvariants(&err)) << err;
 }
 
-TEST(NodeArenaLifecycle, TreesMixHeapAndArenaNodesSafely) {
-  NodeArena arena;
-  // Heap-built tree adopted into an arena mid-life: old nodes stay heap,
-  // new splits land in the arena, and the deleter must route each node
-  // back to its true origin.
+TEST(SamtreeLifecycle, TreeGrownThroughSplitsSamplesLikeSingleDraws) {
+  // A tree grown from 500 to 2000 neighbours through several splits keeps
+  // its invariants, and the k-draw descent over it matches k single draws.
   Samtree tree = BuildTree(500, 8, 13);
-  tree.SetArena(&arena);
+  const std::uint64_t splits_before = tree.stats().leaf_splits;
   Xoshiro256 rng(17);
   for (VertexId v = 100000; v < 101500; ++v) {
     tree.Insert(v, 0.05 + rng.NextDouble());
   }
-  EXPECT_GT(arena.LiveBytes(), 0u);
+  EXPECT_GT(tree.stats().leaf_splits, splits_before);
   std::string err;
   EXPECT_TRUE(tree.CheckInvariants(&err)) << err;
 
   std::vector<VertexId> singles, batch;
   Xoshiro256 r1(3), r2(3);
   for (int i = 0; i < 64; ++i) singles.push_back(tree.SampleWeighted(r1));
-  tree.SampleWeightedBatch(64, r2, &batch);
+  tree.SampleWeighted(64, r2, &batch);
   EXPECT_EQ(singles, batch);
+  EXPECT_EQ(r1.Next(), r2.Next());
 
-  // Detach again: future allocations go back to the heap, existing arena
-  // nodes still free correctly at destruction.
-  tree.SetArena(nullptr);
   for (VertexId v = 200000; v < 200500; ++v) {
     tree.Insert(v, 0.05 + rng.NextDouble());
   }
   EXPECT_TRUE(tree.CheckInvariants(&err)) << err;
-}
-
-TEST(NodeArenaLifecycle, OversizedAndRecycledBlocks) {
-  NodeArena arena(/*chunk_bytes=*/4096);
-  // Oversized request gets its own chunk.
-  void* big = arena.Allocate(64 * 1024);
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.MemoryUsage(), 64u * 1024);
-  arena.Deallocate(big, 64 * 1024);
-  // Recycling: a freed block of the same size class is reused.
-  void* a = arena.Allocate(48);
-  arena.Deallocate(a, 48);
-  void* b = arena.Allocate(48);
-  EXPECT_EQ(a, b);
-  arena.Deallocate(b, 48);
-  EXPECT_EQ(arena.LiveBytes(), 0u);
 }
 
 }  // namespace

@@ -19,13 +19,11 @@
 // and under replay of the reported decision list.
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/memory.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -52,12 +50,10 @@ using platod2gl::Edge;
 using platod2gl::EpochCoordinator;
 using platod2gl::IngestedUpdate;
 using platod2gl::IngestorConfig;
-using platod2gl::NodeArena;
 using platod2gl::SampleCache;
 using platod2gl::SampleCacheConfig;
 using platod2gl::SampleCacheStats;
 using platod2gl::Samtree;
-using platod2gl::SamtreeConfig;
 using platod2gl::Status;
 using platod2gl::StatusCode;
 using platod2gl::UpdateIngestor;
@@ -417,71 +413,7 @@ TEST(SchedCheckSampleCache, HitAndInvalidationRebuildAreCleanUnderRandomWalk) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 5 — NodeArena: concurrent carve/return across size classes
-// plus a live Samtree switched onto the arena mid-flight (SetArena is
-// what TopologyStore::InstallTree does to adopted trees).
-// ---------------------------------------------------------------------------
-
-struct ArenaState {
-  // Tiny chunks so the scenario crosses a chunk refill; members ordered
-  // so the tree (optional) dies before the arena it allocates from.
-  NodeArena arena{1024};
-  std::optional<Samtree> tree;
-};
-
-void ArenaScenario(sched::Test& t) {
-  auto s = std::make_shared<ArenaState>();
-  SamtreeConfig cfg;
-  cfg.node_capacity = 4;  // minimal capacity: 3 extra inserts force a split
-  s->tree = Samtree::BulkBuild({{1, 1.0}, {2, 1.0}, {3, 1.0}, {4, 1.0}}, cfg);
-  t.Spawn("grower", [s] {
-    // Heap-built tree adopts the arena mid-flight; the split below must
-    // carve its new nodes from the arena while "mixer" churns it.
-    s->tree->SetArena(&s->arena);
-    s->tree->Insert(5, 1.0);
-    s->tree->Insert(6, 1.0);
-    s->tree->Insert(7, 1.0);
-  });
-  t.Spawn("mixer", [s] {
-    void* a = s->arena.Allocate(48);
-    void* b = s->arena.Allocate(200);  // distinct size class
-    s->arena.Deallocate(a, 48);
-    void* c = s->arena.Allocate(48);  // free-list reuse of a's class
-    s->arena.Deallocate(b, 200);
-    s->arena.Deallocate(c, 48);
-    sched::Check(s->arena.MemoryUsage() > 0, "arena reserved a chunk");
-  });
-  t.AfterRun([s] {
-    std::string err;
-    sched::Check(s->tree->CheckInvariants(&err),
-                 "tree consistent after arena adoption: " + err);
-    sched::Check(s->tree->size() == 7, "all inserts landed");
-    const std::size_t live = s->arena.LiveBytes();
-    sched::Check(live > 0, "split nodes were carved from the arena");
-    sched::Check(live <= s->arena.MemoryUsage(),
-                 "live bytes bounded by reserved bytes");
-    // Destroying the tree must return every arena node: the mixed
-    // heap/arena origins route through NodeDeleter correctly.
-    s->tree.reset();
-    sched::Check(s->arena.LiveBytes() == 0,
-                 "every arena node returned on destruction");
-    sched::Check(s->arena.SlackBytes() == s->arena.MemoryUsage(),
-                 "all reserved bytes idle after teardown");
-  });
-}
-
-TEST(SchedCheckArena, ConcurrentCarveReturnAndAdoptionAreCleanExhaustively) {
-  const sched::Result r = sched::Explore(Exhaustive(), ArenaScenario);
-  ExpectOk(r);
-  EXPECT_GT(r.schedules, 1u);
-}
-
-TEST(SchedCheckArena, ConcurrentCarveReturnAndAdoptionUnderRandomWalk) {
-  ExpectOk(sched::Explore(RandomWalk(), ArenaScenario));
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 6 — AckWindow: waiter vs two concurrent cumulative acks.
+// Scenario 5 — AckWindow: waiter vs two concurrent cumulative acks.
 //
 // The replication ack watermark (dist/replication.h) is a classic
 // monitor: WaitForAcked sleeps on a condvar, Ack advances the watermark
@@ -515,7 +447,7 @@ TEST(SchedCheckAckWindow, NoLostWakeupUnderRandomWalk) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 7 — ReplicationManager: failover promotion racing the epoch
+// Scenario 6 — ReplicationManager: failover promotion racing the epoch
 // barrier.
 //
 // Promotion swaps the primary's store under cutover->BeginWrite(); the
@@ -616,7 +548,7 @@ TEST(SchedCheckReplication, PromotionVsEpochBarrierUnderRandomWalk) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 8 — AdmissionController: blocked kBlock submitter vs Release
+// Scenario 7 — AdmissionController: blocked kBlock submitter vs Release
 // vs Close.
 //
 // The serving layer's admission window (src/serve/admission.h) is the
@@ -688,7 +620,7 @@ TEST(SchedCheckAdmission, WindowBooksBalanceUnderRandomWalk) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 9 — RequestBatcher: Close() racing two Enqueues.
+// Scenario 8 — RequestBatcher: Close() racing two Enqueues.
 //
 // Enqueue's closed check and its push must be one critical section: an
 // unlocked check-then-lock would let Close() land in the gap and strand

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -112,6 +113,33 @@ TEST(TopologyStoreTest, MemoryBreakdownNonTrivial) {
   EXPECT_GT(mem.topology_bytes, 0u);
   EXPECT_GT(mem.index_bytes, 0u);
   EXPECT_GT(mem.key_bytes, 0u);
+}
+
+TEST(TopologyStoreTest, MemoryIsTheSumOfItsTrees) {
+  TopologyStore store(SamtreeConfig{.node_capacity = 8});
+  for (VertexId s = 0; s < 20; ++s) {
+    for (VertexId d = 0; d < 200; ++d) store.AddEdge(s, d, 1.0 + d);
+  }
+  // Removing most of each neighbourhood underflows leaves into merges.
+  for (VertexId s = 0; s < 20; ++s) {
+    for (VertexId d = 0; d < 150; ++d) ASSERT_TRUE(store.RemoveEdge(s, d));
+  }
+  ASSERT_GT(store.AggregateStats().merges, 0u);
+  std::vector<std::pair<VertexId, Weight>> nbrs;
+  for (VertexId d = 0; d < 500; ++d) nbrs.emplace_back(d, 0.5);
+  store.InstallTree(1000, Samtree::BulkBuild(std::move(nbrs), store.config()));
+
+  MemoryBreakdown trees;
+  store.ForEachSource([&](VertexId, const Samtree& tree) {
+    const MemoryBreakdown m = tree.Memory();
+    trees.topology_bytes += m.topology_bytes;
+    trees.index_bytes += m.index_bytes;
+    trees.other_bytes += m.other_bytes;
+  });
+  const MemoryBreakdown mem = store.Memory();
+  EXPECT_EQ(mem.topology_bytes, trees.topology_bytes);
+  EXPECT_EQ(mem.index_bytes, trees.index_bytes);
+  EXPECT_EQ(mem.other_bytes, trees.other_bytes);
 }
 
 TEST(TopologyStoreTest, AggregateStatsSumsTrees) {

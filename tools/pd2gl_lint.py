@@ -4,10 +4,9 @@
 Fast, dependency-free checks for project conventions that neither the
 compiler nor clang-tidy enforces:
 
-  naked-new         `new` / `delete` expressions outside src/common/memory.h.
-                    Ownership flows through std::unique_ptr /
-                    std::make_unique; a naked allocation is either a leak
-                    waiting to happen or belongs in the arena helpers.
+  naked-new         `new` / `delete` expressions. Ownership flows through
+                    std::unique_ptr / std::make_unique; a naked allocation
+                    is a leak waiting to happen.
   std-rand          std::rand / srand / random_shuffle. All randomness goes
                     through common/random.h (Xoshiro256) so experiments are
                     reproducible from a seed.
@@ -65,7 +64,6 @@ SOURCE_SUFFIXES = {".h", ".cc"}
 # Files exempt per rule (repo-relative, POSIX slashes).
 EXEMPT = {
     "naked-new": {
-        "src/common/memory.h",
         # TestMutex pimpl: one raw std::mutex behind a pointer so sched.h
         # stays <mutex>-free in production translation units.
         "src/schedcheck/sched.cc",
@@ -194,8 +192,7 @@ def lint_file(path, rel):
     for lineno, line in enumerate(lines, 1):
         if RE_NAKED_NEW.search(line):
             check("naked-new", lineno,
-                  "naked `new`: use std::make_unique or the helpers in "
-                  "src/common/memory.h")
+                  "naked `new`: use std::make_unique")
         if RE_NAKED_DELETE.search(line) and "= delete" not in line:
             check("naked-new", lineno,
                   "naked `delete`: ownership belongs in a smart pointer")
