@@ -48,9 +48,9 @@ int main() {
   // Hash-by-source keeps shards balanced without any re-partitioning.
   std::printf("\nper-shard load:\n");
   for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
-    std::printf("  shard %zu: %9zu edges, %8llu requests served\n", s,
+    std::printf("  shard %zu: %9zu edges, %8llu updates logged\n", s,
                 cluster.shard(s).store().NumEdges(),
-                (unsigned long long)cluster.shard(s).requests_served());
+                (unsigned long long)cluster.shard(s).wal_seq());
   }
   std::printf("load imbalance (max/min edges): %.3f\n",
               cluster.LoadImbalance());

@@ -24,51 +24,10 @@ GraphCluster::GraphCluster(ClusterConfig config)
       partitioner_(config.num_shards),
       pool_(config.num_client_threads),
       injector_(config.fault, config.num_shards) {
-  using S = ClusterStats;
-  counters_.rpcs = metrics_.BindCounter(&binding_, &S::rpcs,
-                                        "pd2gl_cluster_rpcs");
-  counters_.virtual_network_us = metrics_.BindCounter(
-      &binding_, &S::virtual_network_us, "pd2gl_cluster_virtual_network_us");
-  counters_.bytes_sent = metrics_.BindCounter(&binding_, &S::bytes_sent,
-                                              "pd2gl_cluster_bytes_sent");
-  counters_.bytes_received = metrics_.BindCounter(
-      &binding_, &S::bytes_received, "pd2gl_cluster_bytes_received");
-  counters_.retries = metrics_.BindCounter(&binding_, &S::retries,
-                                           "pd2gl_cluster_retries");
-  counters_.transient_faults = metrics_.BindCounter(
-      &binding_, &S::transient_faults, "pd2gl_cluster_transient_faults");
-  counters_.corrupt_responses = metrics_.BindCounter(
-      &binding_, &S::corrupt_responses, "pd2gl_cluster_corrupt_responses");
-  counters_.deadline_hits = metrics_.BindCounter(
-      &binding_, &S::deadline_hits, "pd2gl_cluster_deadline_hits");
-  counters_.crash_rejections = metrics_.BindCounter(
-      &binding_, &S::crash_rejections, "pd2gl_cluster_crash_rejections");
-  counters_.degraded_seeds = metrics_.BindCounter(
-      &binding_, &S::degraded_seeds, "pd2gl_cluster_degraded_seeds");
-  counters_.wal_handoffs = metrics_.BindCounter(
-      &binding_, &S::wal_handoffs, "pd2gl_cluster_wal_handoffs");
-  counters_.lost_updates = metrics_.BindCounter(
-      &binding_, &S::lost_updates, "pd2gl_cluster_lost_updates");
-  counters_.recoveries = metrics_.BindCounter(&binding_, &S::recoveries,
-                                              "pd2gl_cluster_recoveries");
-  counters_.replayed_updates = metrics_.BindCounter(
-      &binding_, &S::replayed_updates, "pd2gl_cluster_replayed_updates");
-  counters_.replica_read_seeds = metrics_.BindCounter(
-      &binding_, &S::replica_read_seeds, "pd2gl_cluster_replica_read_seeds");
-  counters_.stale_replica_seeds = metrics_.BindCounter(
-      &binding_, &S::stale_replica_seeds, "pd2gl_cluster_stale_replica_seeds");
-  counters_.failovers = metrics_.BindCounter(&binding_, &S::failovers,
-                                             "pd2gl_cluster_failovers");
-  counters_.failover_replayed = metrics_.BindCounter(
-      &binding_, &S::failover_replayed, "pd2gl_cluster_failover_replayed");
-  counters_.digest_rounds = metrics_.BindCounter(
-      &binding_, &S::digest_rounds, "pd2gl_cluster_digest_rounds");
-  counters_.digest_mismatches = metrics_.BindCounter(
-      &binding_, &S::digest_mismatches, "pd2gl_cluster_digest_mismatches");
-  counters_.antientropy_repairs = metrics_.BindCounter(
-      &binding_, &S::antientropy_repairs, "pd2gl_cluster_antientropy_repairs");
-  counters_.antientropy_edges = metrics_.BindCounter(
-      &binding_, &S::antientropy_edges, "pd2gl_cluster_antientropy_edges");
+#define PD2GL_REGISTER(name) \
+  counters_.name = metrics_.RegisterCounter("pd2gl_cluster_" #name);
+  PD2GL_CLUSTER_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
   metrics_.RegisterExternalHistogram("pd2gl_cluster_rpc_compute_nanos", {},
                                      &rpc_latency_);
 
@@ -82,10 +41,8 @@ GraphCluster::GraphCluster(ClusterConfig config)
         metrics_.RegisterCounter("pd2gl_shard_sample_seeds", shard_label));
     shard_gather_counters_.push_back(
         metrics_.RegisterCounter("pd2gl_shard_gather_ids", shard_label));
-    if (SampleCache* cache = shards_.back()->store().sample_cache()) {
-      cache->RegisterWith(&metrics_, shard_label);
-    }
   }
+  ExportShardCaches();
   if (config_.replication.num_replicas > 0) {
     std::vector<GraphShard*> primaries;
     primaries.reserve(shards_.size());
@@ -96,12 +53,29 @@ GraphCluster::GraphCluster(ClusterConfig config)
   }
 }
 
+ClusterStats GraphCluster::stats() const {
+  ClusterStats s;
+#define PD2GL_FILL(name) s.name = counters_.name->Value();
+  PD2GL_CLUSTER_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
+  return s;
+}
+
 void GraphCluster::ReplicationHealthCheck() {
   if (!replication_) return;
   const ReplicationManager::HealthReport health =
       replication_->AdvanceTime(counters_.virtual_network_us->Value());
   counters_.failovers->Add(health.failovers);
   counters_.failover_replayed->Add(health.replayed_entries);
+  if (health.failovers > 0) ExportShardCaches();
+}
+
+void GraphCluster::ExportShardCaches() {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (SampleCache* cache = shards_[i]->store().sample_cache()) {
+      cache->RegisterWith(&metrics_, {{"shard", std::to_string(i)}});
+    }
+  }
 }
 
 void GraphCluster::PumpReplication() {
@@ -263,8 +237,7 @@ Status GraphCluster::Apply(const EdgeUpdate& update) {
   const bool handoff = injector_.IsCrashed(s);
   const RpcOutcome out = DeliverUpdates(s, {update});
   MergeOutcome(out);
-  // UpdateBatch wire size (dist/wire.h): tag + count + 29 B per update.
-  counters_.bytes_sent->Add(out.attempts * (5 + 29));
+  counters_.bytes_sent->Add(out.attempts * wire::UpdateBatchBytes(1));
   counters_.bytes_received->Add(out.resp_bytes);
   if (handoff) counters_.wal_handoffs->Add();
   PumpReplication();
@@ -295,8 +268,8 @@ Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
     if (group.empty()) continue;
     const RpcOutcome& out = outcomes[s];
     MergeOutcome(out);
-    // UpdateBatch wire size (dist/wire.h): tag + count + 29 B per update.
-    counters_.bytes_sent->Add(out.attempts * (5 + group.size() * 29));
+    counters_.bytes_sent->Add(out.attempts *
+                              wire::UpdateBatchBytes(group.size()));
     counters_.bytes_received->Add(out.resp_bytes);
     if (handoff[s]) counters_.wal_handoffs->Add(group.size());
     if (!out.delivered) {
@@ -399,11 +372,12 @@ MultiSampleReport GraphCluster::NeighborRound(
     if (groups.empty()) continue;
     const RpcOutcome& out = outcomes[s];
     MergeOutcome(out);
-    // One logical SampleRequest per item bundled into the RPC (dist/wire.h
-    // layout): header + 8 B per seed.
-    counters_.bytes_sent->Add(
-        out.attempts *
-        (14 * groups.size() + shard_ranges[s] * sizeof(VertexId)));
+    // One logical SampleRequest per item bundled into the RPC.
+    std::size_t request_bytes = 0;
+    for (const ShardGroup& grp : groups) {
+      request_bytes += wire::SampleRequestBytes(grp.positions.size());
+    }
+    counters_.bytes_sent->Add(out.attempts * request_bytes);
     shard_seed_counters_[s]->Add(shard_ranges[s]);
     counters_.bytes_received->Add(out.resp_bytes);
     // The round's virtual wall time is the slowest of the parallel RPCs.
@@ -632,10 +606,14 @@ MultiGatherReport GraphCluster::GatherMany(
     if (groups.empty()) continue;
     const RpcOutcome& out = outcomes[s];
     MergeOutcome(out);
+    // Gather requests are sized like SampleRequests over their ids.
     std::size_t shard_ids = 0;
-    for (const ShardGroup& grp : groups) shard_ids += grp.positions.size();
-    counters_.bytes_sent->Add(
-        out.attempts * (14 * groups.size() + shard_ids * sizeof(VertexId)));
+    std::size_t request_bytes = 0;
+    for (const ShardGroup& grp : groups) {
+      shard_ids += grp.positions.size();
+      request_bytes += wire::SampleRequestBytes(grp.positions.size());
+    }
+    counters_.bytes_sent->Add(out.attempts * request_bytes);
     shard_gather_counters_[s]->Add(shard_ids);
     counters_.bytes_received->Add(out.resp_bytes);
     multi.round_virtual_us = std::max(multi.round_virtual_us, out.virtual_us);
@@ -675,6 +653,7 @@ MultiGatherReport GraphCluster::GatherMany(
 void GraphCluster::CrashShard(std::size_t i) {
   injector_.CrashShard(i);
   shards_[i]->Crash();
+  ExportShardCaches();
 }
 
 Status GraphCluster::RecoverShard(std::size_t i) {
@@ -682,6 +661,7 @@ Status GraphCluster::RecoverShard(std::size_t i) {
   Status s = shards_[i]->Recover(&replayed);
   if (!s.ok()) return s;
   injector_.RestoreShard(i);
+  ExportShardCaches();
   counters_.recoveries->Add();
   counters_.replayed_updates->Add(replayed);
   return Status::Ok();

@@ -78,37 +78,39 @@ struct ClusterConfig {
   ReplicationConfig replication;
 };
 
-/// Point-in-time snapshot of the cluster's transport counters. Filled
-/// from the pd2gl_cluster_* registry series by GraphCluster::stats() —
-/// the registry (GraphCluster::metrics()) is the live, exportable home.
+/// The cluster's transport counters, one row each: exported as
+/// pd2gl_cluster_<name> through GraphCluster::metrics() and snapshotted
+/// into ClusterStats by GraphCluster::stats().
+#define PD2GL_CLUSTER_COUNTERS(X)                                              \
+  X(rpcs)                /* attempts, including retried/failed ones */         \
+  X(virtual_network_us)                                                        \
+  /* Wire-format sizes (see dist/wire.h) the RPCs would have shipped. */       \
+  X(bytes_sent)          /* client -> shards (requests) */                     \
+  X(bytes_received)      /* shards -> client (responses) */                    \
+  /* Fault tolerance. */                                                       \
+  X(retries)             /* re-attempts after a failure */                     \
+  X(transient_faults)    /* injected fail/timeout/corrupt hits */              \
+  X(corrupt_responses)   /* responses dropped by the codec */                  \
+  X(deadline_hits)       /* calls abandoned at the deadline */                 \
+  X(crash_rejections)    /* attempts refused by a dead shard */                \
+  X(degraded_seeds)      /* seeds returned empty-degraded */                   \
+  X(wal_handoffs)        /* updates durably logged while down */               \
+  X(lost_updates)        /* updates undeliverable AND unlogged */              \
+  X(recoveries)          /* RecoverShard completions */                        \
+  X(replayed_updates)    /* WAL entries replayed on recovery */                \
+  /* Replication (docs/replication.md). */                                     \
+  X(replica_read_seeds)  /* seeds served by replica fallback */                \
+  X(stale_replica_seeds) /* ...of those, behind the primary */                 \
+  X(failovers)           /* replica promotions */                              \
+  X(failover_replayed)   /* WAL entries replayed at promotion */               \
+  X(digest_rounds)       /* anti-entropy comparisons run */                    \
+  X(digest_mismatches)   /* digest buckets that disagreed */                   \
+  X(antientropy_repairs) /* replicas repaired by a round */                    \
+  X(antientropy_edges)   /* edges re-shipped by repairs */
+
+/// Point-in-time snapshot of the pd2gl_cluster_* series.
 struct ClusterStats {
-  std::uint64_t rpcs = 0;  ///< attempts, including retried/failed ones
-  std::uint64_t virtual_network_us = 0;
-  /// Wire-format sizes (see dist/wire.h) the RPCs would have shipped.
-  /// Sampling responses are sized by wire::SampleResponseBytes over the
-  /// shard's flat response; the rest from the layouts the codecs pin.
-  std::uint64_t bytes_sent = 0;      ///< client -> shards (requests)
-  std::uint64_t bytes_received = 0;  ///< shards -> client (responses)
-  // --- fault-tolerance observability ---
-  std::uint64_t retries = 0;           ///< re-attempts after a failure
-  std::uint64_t transient_faults = 0;  ///< injected fail/timeout/corrupt hits
-  std::uint64_t corrupt_responses = 0; ///< responses dropped by the codec
-  std::uint64_t deadline_hits = 0;     ///< calls abandoned at the deadline
-  std::uint64_t crash_rejections = 0;  ///< attempts refused by a dead shard
-  std::uint64_t degraded_seeds = 0;    ///< seeds returned empty-degraded
-  std::uint64_t wal_handoffs = 0;      ///< updates durably logged while down
-  std::uint64_t lost_updates = 0;      ///< updates undeliverable AND unlogged
-  std::uint64_t recoveries = 0;        ///< RecoverShard completions
-  std::uint64_t replayed_updates = 0;  ///< WAL entries replayed on recovery
-  // --- replication observability (docs/replication.md) ---
-  std::uint64_t replica_read_seeds = 0;  ///< seeds served by replica fallback
-  std::uint64_t stale_replica_seeds = 0; ///< ...of those, behind the primary
-  std::uint64_t failovers = 0;           ///< replica promotions
-  std::uint64_t failover_replayed = 0;   ///< WAL entries replayed at promotion
-  std::uint64_t digest_rounds = 0;       ///< anti-entropy comparisons run
-  std::uint64_t digest_mismatches = 0;   ///< digest buckets that disagreed
-  std::uint64_t antientropy_repairs = 0; ///< replicas repaired by a round
-  std::uint64_t antientropy_edges = 0;   ///< edges re-shipped by repairs
+  PD2GL_CLUSTER_COUNTERS(PD2GL_STATS_FIELD)
 };
 
 /// Batched sampling result plus per-seed delivery status: `batch` always
@@ -294,14 +296,15 @@ class GraphCluster {
   std::size_t num_shards() const { return shards_.size(); }
 
   const Partitioner& partitioner() const { return partitioner_; }
-  /// Snapshot of the transport counters (one shared registry fill loop —
-  /// see obs::StatsBinding).
-  ClusterStats stats() const { return binding_.Read(); }
+  /// Snapshot of the transport counters.
+  ClusterStats stats() const;
 
   /// The cluster's metric registry: pd2gl_cluster_* transport counters,
   /// per-shard load series (pd2gl_shard_*{shard="i"}), the RPC compute
   /// histogram, pd2gl_replication_* (when replication is on), and
-  /// per-shard sample-cache series (when the cache is on).
+  /// per-shard sample-cache series (when the cache is on). The cache series
+  /// read the serving store's cache, so they restart from zero when a
+  /// crash, recovery or failover replaces a shard's store.
   obs::MetricRegistry& metrics() { return metrics_; }
   const obs::MetricRegistry& metrics() const { return metrics_; }
 
@@ -361,36 +364,10 @@ class GraphCluster {
   void PumpReplication();
   /// Health monitor only (read paths: nothing new to ship).
   void ReplicationHealthCheck();
-
-  // Registry-owned transport counters (pd2gl_cluster_*), bound onto
-  // ClusterStats members at construction; stats() is binding_.Read().
-  // All bumps happen in serial sections (outcome merges), exactly like
-  // the plain fields they replace — the registry just makes them named
-  // and exportable.
-  struct Counters {
-    obs::Counter* rpcs = nullptr;
-    obs::Counter* virtual_network_us = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* transient_faults = nullptr;
-    obs::Counter* corrupt_responses = nullptr;
-    obs::Counter* deadline_hits = nullptr;
-    obs::Counter* crash_rejections = nullptr;
-    obs::Counter* degraded_seeds = nullptr;
-    obs::Counter* wal_handoffs = nullptr;
-    obs::Counter* lost_updates = nullptr;
-    obs::Counter* recoveries = nullptr;
-    obs::Counter* replayed_updates = nullptr;
-    obs::Counter* replica_read_seeds = nullptr;
-    obs::Counter* stale_replica_seeds = nullptr;
-    obs::Counter* failovers = nullptr;
-    obs::Counter* failover_replayed = nullptr;
-    obs::Counter* digest_rounds = nullptr;
-    obs::Counter* digest_mismatches = nullptr;
-    obs::Counter* antientropy_repairs = nullptr;
-    obs::Counter* antientropy_edges = nullptr;
-  };
+  /// Point the pd2gl_sample_cache_*{shard="i"} series at the cache of
+  /// each shard's serving store. A crash, a recovery and a failover each
+  /// replace that store, and the series must never read a destroyed one.
+  void ExportShardCaches();
 
   ClusterConfig config_;
   HashBySourcePartitioner partitioner_;
@@ -399,8 +376,11 @@ class GraphCluster {
   FaultInjector injector_;
   // Declared before replication_ so it outlives the manager's series.
   obs::MetricRegistry metrics_;
-  obs::StatsBinding<ClusterStats> binding_;
-  Counters counters_;
+  // The pd2gl_cluster_* handles, one per list row. All bumps happen in
+  // serial sections (outcome merges).
+  struct {
+    PD2GL_CLUSTER_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters_;
   /// Per-shard load series, {shard="i"}-labelled: seeds routed to each
   /// shard by sampling/traversal rounds and ids by gather rounds. The
   /// load signal dynamic partitioning (ROADMAP) and `pd2gl serve-bench`'s

@@ -155,39 +155,10 @@ ReplicationManager::ReplicationManager(const ReplicationConfig& config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = ReplicationStats;
-  counters_.ship_rounds = metrics_->BindCounter(
-      &binding_, &S::ship_rounds, "pd2gl_replication_ship_rounds");
-  counters_.append_messages = metrics_->BindCounter(
-      &binding_, &S::append_messages, "pd2gl_replication_append_messages");
-  counters_.ack_messages = metrics_->BindCounter(
-      &binding_, &S::ack_messages, "pd2gl_replication_ack_messages");
-  counters_.bytes_shipped = metrics_->BindCounter(
-      &binding_, &S::bytes_shipped, "pd2gl_replication_bytes_shipped");
-  counters_.entries_applied = metrics_->BindCounter(
-      &binding_, &S::entries_applied, "pd2gl_replication_entries_applied");
-  counters_.duplicate_entries = metrics_->BindCounter(
-      &binding_, &S::duplicate_entries, "pd2gl_replication_duplicate_entries");
-  counters_.rejected_appends = metrics_->BindCounter(
-      &binding_, &S::rejected_appends, "pd2gl_replication_rejected_appends");
-  counters_.dropped_messages = metrics_->BindCounter(
-      &binding_, &S::dropped_messages, "pd2gl_replication_dropped_messages");
-  counters_.duplicated_messages =
-      metrics_->BindCounter(&binding_, &S::duplicated_messages,
-                            "pd2gl_replication_duplicated_messages");
-  counters_.reordered_messages = metrics_->BindCounter(
-      &binding_, &S::reordered_messages, "pd2gl_replication_reordered_messages");
-  counters_.snapshot_bootstraps =
-      metrics_->BindCounter(&binding_, &S::snapshot_bootstraps,
-                            "pd2gl_replication_snapshot_bootstraps");
-  counters_.unimplemented_peers =
-      metrics_->BindCounter(&binding_, &S::unimplemented_peers,
-                            "pd2gl_replication_unimplemented_peers");
-  counters_.replica_apply_nanos =
-      metrics_->BindCounter(&binding_, &S::replica_apply_nanos,
-                            "pd2gl_replication_replica_apply_nanos");
-  counters_.pump_cpu_nanos = metrics_->BindCounter(
-      &binding_, &S::pump_cpu_nanos, "pd2gl_replication_pump_cpu_nanos");
+#define PD2GL_REGISTER(name) \
+  counters_.name = metrics_->RegisterCounter("pd2gl_replication_" #name);
+  PD2GL_REPLICATION_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
   if (config_.num_replicas > FaultInjector::kMaxReplicas) {
     config_.num_replicas = FaultInjector::kMaxReplicas;
   }
@@ -266,13 +237,11 @@ void ReplicationManager::Ship(std::size_t shard, bool allow_bootstrap) {
       }
     }
   }
-  ShipLocked(shard, sr, allow_bootstrap);
+  ShipLocked(shard, sr);
 }
 
-void ReplicationManager::ShipLocked(std::size_t shard, ShardRep& sr,
-                                    bool allow_bootstrap) {
+void ReplicationManager::ShipLocked(std::size_t shard, ShardRep& sr) {
   PD2GL_PROFILE_SCOPE(obs::ProfileSite::kWalShip);
-  (void)allow_bootstrap;
   GraphShard* pri = primaries_[shard];
   const std::uint64_t head = pri->wal_seq();
   counters_.ship_rounds->Add();
@@ -349,15 +318,7 @@ void ReplicationManager::DeliverAppend(const std::string& bytes,
   wire::RepLogAppend msg;
   switch (wire::DecodeRepLogAppend(bytes, &msg)) {
     case wire::DecodeResult::kUnsupportedVersion:
-      // Version negotiation: the peer speaks a format we do not. Mark it
-      // incompatible once — it is excluded from shipping, reads and
-      // promotion until reconfigured.
-      if (!rep.incompatible) {
-        rep.incompatible = true;
-        rep.last_error = Status::Unimplemented(
-            "replica rejected replication wire version");
-        counters_.unimplemented_peers->Add();
-      }
+      MarkIncompatible(rep);
       return;
     case wire::DecodeResult::kMalformed:
       rep.last_error = Status::DataLoss("malformed replication append");
@@ -382,6 +343,14 @@ void ReplicationManager::DeliverAppend(const std::string& bytes,
     rep.applied_seq = e.seq;
     counters_.entries_applied->Add();
   }
+}
+
+void ReplicationManager::MarkIncompatible(Replica& rep) {
+  if (rep.incompatible) return;
+  rep.incompatible = true;
+  rep.last_error =
+      Status::Unimplemented("replica rejected replication wire version");
+  counters_.unimplemented_peers->Add();
 }
 
 void ReplicationManager::SendAck(std::size_t shard, std::size_t replica,
@@ -442,12 +411,7 @@ bool ReplicationManager::BootstrapReplica(std::size_t shard,
   wire::RepSnapshot decoded;
   switch (wire::DecodeRepSnapshot(bytes, &decoded)) {
     case wire::DecodeResult::kUnsupportedVersion:
-      if (!rep.incompatible) {
-        rep.incompatible = true;
-        rep.last_error = Status::Unimplemented(
-            "replica rejected replication wire version");
-        counters_.unimplemented_peers->Add();
-      }
+      MarkIncompatible(rep);
       return false;
     case wire::DecodeResult::kMalformed:
       rep.last_error = Status::DataLoss("malformed snapshot message");
@@ -653,12 +617,7 @@ ReplicationManager::AntiEntropyReport ReplicationManager::RunAntiEntropy(
     wire::RepDigest decoded;
     switch (wire::DecodeRepDigest(bytes, &decoded)) {
       case wire::DecodeResult::kUnsupportedVersion:
-        if (!rep.incompatible) {
-          rep.incompatible = true;
-          rep.last_error = Status::Unimplemented(
-              "replica rejected replication wire version");
-          counters_.unimplemented_peers->Add();
-        }
+        MarkIncompatible(rep);
         report.skipped_replicas += 1;
         continue;
       case wire::DecodeResult::kMalformed:
@@ -738,7 +697,13 @@ bool ReplicationManager::CorruptReplicaEdgeForTest(std::size_t shard,
   return true;
 }
 
-ReplicationStats ReplicationManager::stats() const { return binding_.Read(); }
+ReplicationStats ReplicationManager::stats() const {
+  ReplicationStats s;
+#define PD2GL_FILL(name) s.name = counters_.name->Value();
+  PD2GL_REPLICATION_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
+  return s;
+}
 
 Status ReplicationManager::SnapshotReplica(std::size_t shard,
                                            std::size_t replica,

@@ -81,32 +81,35 @@ struct ReplicationConfig {
   bool async_ship = false;
 };
 
-/// Transport-level counters (registry-backed; snapshot via
-/// ReplicationManager::stats() or the pd2gl_replication_* series of the
-/// bound MetricRegistry).
+/// Transport-level counters, one row each: exported as
+/// pd2gl_replication_<name> through the bound MetricRegistry and
+/// snapshotted into ReplicationStats by ReplicationManager::stats().
+#define PD2GL_REPLICATION_COUNTERS(X)                                          \
+  X(ship_rounds)         /* Ship() passes over a shard */                      \
+  X(append_messages)     /* RepLogAppend messages encoded */                   \
+  X(ack_messages)        /* RepAck messages encoded */                         \
+  X(bytes_shipped)       /* encoded bytes on all channels */                   \
+  X(entries_applied)     /* WAL entries applied at replicas */                 \
+  X(duplicate_entries)   /* entries skipped as <= applied */                   \
+  X(rejected_appends)    /* messages refused (gap after drop/reorder) */       \
+  X(dropped_messages)    /* injected kDrop faults taken */                     \
+  X(duplicated_messages) /* injected kDuplicate faults taken */                \
+  X(reordered_messages)  /* injected kReorder faults taken */                  \
+  X(snapshot_bootstraps) /* RepSnapshot images applied */                      \
+  X(unimplemented_peers) /* replicas excluded by version */                    \
+  /* CPU nanoseconds spent doing the replica's side of replication:            \
+     decoding appends and applying entries / snapshot images to replica        \
+     stores. In a deployment this burns the replica machine's cores, not       \
+     the primary's; bench_replication subtracts it to price what               \
+     replication costs the ingest path itself on a shared-host simulation. */  \
+  X(replica_apply_nanos)                                                       \
+  /* Total CPU nanoseconds burnt by the async pump thread (0 in sync           \
+     mode). pump_cpu_nanos - replica_apply_nanos is the primary-side ship      \
+     cost: window copies, encoding, fault draws, ack handling. */              \
+  X(pump_cpu_nanos)
+
 struct ReplicationStats {
-  std::uint64_t ship_rounds = 0;        ///< Ship() passes over a shard
-  std::uint64_t append_messages = 0;    ///< RepLogAppend messages encoded
-  std::uint64_t ack_messages = 0;       ///< RepAck messages encoded
-  std::uint64_t bytes_shipped = 0;      ///< encoded bytes on all channels
-  std::uint64_t entries_applied = 0;    ///< WAL entries applied at replicas
-  std::uint64_t duplicate_entries = 0;  ///< entries skipped as <= applied
-  std::uint64_t rejected_appends = 0;   ///< messages refused (gap after drop/reorder)
-  std::uint64_t dropped_messages = 0;   ///< injected kDrop faults taken
-  std::uint64_t duplicated_messages = 0;///< injected kDuplicate faults taken
-  std::uint64_t reordered_messages = 0; ///< injected kReorder faults taken
-  std::uint64_t snapshot_bootstraps = 0;///< RepSnapshot images applied
-  std::uint64_t unimplemented_peers = 0;///< replicas excluded by version
-  /// CPU nanoseconds spent doing the *replica's* side of replication —
-  /// decoding appends and applying entries / snapshot images to replica
-  /// stores. In a deployment this burns the replica machine's cores, not
-  /// the primary's; bench_replication subtracts it to price what
-  /// replication costs the ingest path itself on a shared-host simulation.
-  std::uint64_t replica_apply_nanos = 0;
-  /// Total CPU nanoseconds burnt by the async pump thread (0 in sync
-  /// mode). pump_cpu_nanos - replica_apply_nanos is the primary-side ship
-  /// cost: window copies, encoding, fault draws, ack handling.
-  std::uint64_t pump_cpu_nanos = 0;
+  PD2GL_REPLICATION_COUNTERS(PD2GL_STATS_FIELD)
 };
 
 /// The primary-side acked watermark for one shard: a monotonic sequence
@@ -275,11 +278,14 @@ class ReplicationManager {
   static constexpr std::uint64_t kNotSuspected = ~std::uint64_t{0};
   static constexpr int kMaxFlushRounds = 4096;
 
-  void ShipLocked(std::size_t shard, ShardRep& sr, bool allow_bootstrap)
-      REQUIRES(sr.mu);
+  void ShipLocked(std::size_t shard, ShardRep& sr) REQUIRES(sr.mu);
   /// Deliver one encoded RepLogAppend to a replica (decode + contiguity
   /// check + apply). Updates watermarks and counters.
   void DeliverAppend(const std::string& bytes, Replica& rep);
+  /// Version negotiation failed: the peer speaks a format we do not. Mark
+  /// it incompatible (kUnimplemented), counted once; it is excluded from
+  /// shipping, reads and promotion until reconfigured.
+  void MarkIncompatible(Replica& rep);
   /// Send the cumulative ack for one replica back to the primary side
   /// (subject to a drop draw on the reverse channel).
   void SendAck(std::size_t shard, std::size_t replica, ShardRep& sr)
@@ -301,30 +307,12 @@ class ReplicationManager {
   EpochCoordinator* cutover_;
   std::vector<std::unique_ptr<ShardRep>> reps_;
 
-  // Transport counters: registry-owned obs::Counter series
-  // (pd2gl_replication_*), each bound onto its ReplicationStats member at
-  // construction so stats() is the binding's shared fill loop — no
-  // hand-rolled per-field copy.
-  struct Counters {
-    obs::Counter* ship_rounds = nullptr;
-    obs::Counter* append_messages = nullptr;
-    obs::Counter* ack_messages = nullptr;
-    obs::Counter* bytes_shipped = nullptr;
-    obs::Counter* entries_applied = nullptr;
-    obs::Counter* duplicate_entries = nullptr;
-    obs::Counter* rejected_appends = nullptr;
-    obs::Counter* dropped_messages = nullptr;
-    obs::Counter* duplicated_messages = nullptr;
-    obs::Counter* reordered_messages = nullptr;
-    obs::Counter* snapshot_bootstraps = nullptr;
-    obs::Counter* unimplemented_peers = nullptr;
-    obs::Counter* replica_apply_nanos = nullptr;
-    obs::Counter* pump_cpu_nanos = nullptr;
-  };
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;  ///< when none given
   obs::MetricRegistry* metrics_;
-  obs::StatsBinding<ReplicationStats> binding_;
-  Counters counters_;
+  // The pd2gl_replication_* handles, one per list row.
+  struct {
+    PD2GL_REPLICATION_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters_;
 
   // Async pump (constructed only when config_.async_ship).
   Mutex pump_mu_;

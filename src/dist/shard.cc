@@ -11,8 +11,6 @@ GraphShard::GraphShard(GraphStoreConfig config)
     : config_(config), store_(std::make_unique<GraphStore>(config)) {}
 
 void GraphShard::Apply(const EdgeUpdate& update) {
-  // order: stat tally, read for reporting only
-  requests_.fetch_add(1, std::memory_order_relaxed);
   {
     // WAL first: the sequence number is strictly increasing, so Append can
     // never hit a time regression here. Locked because a replication pump
@@ -27,16 +25,12 @@ bool GraphShard::SampleNeighbors(VertexId src, std::size_t k, bool weighted,
                                  Xoshiro256& rng, std::vector<VertexId>* out,
                                  EdgeType type) const {
   if (crashed()) return false;
-  // order: stat tally, read for reporting only
-  requests_.fetch_add(1, std::memory_order_relaxed);
   return store_->SampleNeighbors(src, k, weighted, rng, out, type);
 }
 
 bool GraphShard::Traverse(VertexId src, std::size_t cap,
                           std::vector<VertexId>* out, EdgeType type) const {
   if (crashed()) return false;
-  // order: stat tally, read for reporting only
-  requests_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<std::pair<VertexId, Weight>> nbrs =
       store_->Neighbors(src, type);
   // No exact reserve: `out` is usually a whole response shared by many
@@ -53,8 +47,6 @@ bool GraphShard::GatherFeatures(VertexId v, std::vector<float>* out,
     return false;
   }
   if (served != nullptr) *served = true;
-  // order: stat tally, read for reporting only
-  requests_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<float>* f = store_->attributes().GetFeatures(v);
   if (f == nullptr) {
     out->clear();

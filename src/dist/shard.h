@@ -2,8 +2,8 @@
 //
 // The paper's evaluation cluster dedicates 54 machines to graph storage;
 // this repo substitutes in-process shards (see DESIGN.md, substitutions).
-// A shard owns a full GraphStore for the vertices hashed onto it and
-// counts the requests it served so the cluster can report load balance.
+// A shard owns a full GraphStore for the vertices hashed onto it; the
+// cluster counts the load routed to it (pd2gl_shard_* series).
 //
 // Fault tolerance (DESIGN.md §9): the shard separates volatile from
 // durable state. The GraphStore is volatile — Crash() wipes it, modelling
@@ -133,17 +133,10 @@ class GraphShard {
     return wal_.truncated_through();
   }
 
-  /// Copy of the WAL entries in (from, to] — the replication sender's
-  /// read path, safe against concurrent Apply().
-  std::vector<TimedUpdate> WalWindow(std::uint64_t from,
-                                     std::uint64_t to) const
-      EXCLUDES(wal_mu_) {
-    SpinlockGuard g(wal_mu_);
-    return wal_.Window(from, to);
-  }
-
-  /// WalWindow() into a reusable buffer — keeps the hot ship path free of
-  /// per-round allocations (and so keeps the spinlock hold short).
+  /// Copy of the WAL entries in (from, to] into a reusable buffer — the
+  /// replication sender's read path, safe against concurrent Apply(). The
+  /// buffer keeps the hot ship path free of per-round allocations (and so
+  /// keeps the spinlock hold short).
   void WalWindowInto(std::uint64_t from, std::uint64_t to,
                      std::vector<TimedUpdate>* out) const EXCLUDES(wal_mu_) {
     SpinlockGuard g(wal_mu_);
@@ -160,11 +153,6 @@ class GraphShard {
     return wal_.CheckedReplayInto(graph, from, to, applied);
   }
 
-  std::uint64_t requests_served() const {
-    // order: stat tally, read for reporting only
-    return requests_.load(std::memory_order_relaxed);
-  }
-
  private:
   GraphStoreConfig config_;
   std::unique_ptr<GraphStore> store_;  // volatile (lost on Crash)
@@ -177,7 +165,6 @@ class GraphShard {
   std::uint64_t checkpoint_seq_ GUARDED_BY(wal_mu_) = 0;
   std::string checkpoint_path_ GUARDED_BY(wal_mu_);  // "" = never
   std::atomic<bool> crashed_{false};
-  mutable std::atomic<std::uint64_t> requests_{0};
 };
 
 }  // namespace platod2gl

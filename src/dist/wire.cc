@@ -21,11 +21,43 @@ bool Get(const std::string& in, std::size_t* pos, T* value) {
   return true;
 }
 
+/// The update record UpdateBatch and RepLogAppend share:
+/// kind u8 | type u32 | src u64 | dst u64 | weight f64. A RepLogAppend
+/// entry is a seq u64 followed by one.
+constexpr std::size_t kUpdateBytes = 29;
+constexpr std::size_t kRepEntryBytes = sizeof(std::uint64_t) + kUpdateBytes;
+
+void PutUpdate(std::string* out, const EdgeUpdate& u) {
+  Put(out, static_cast<std::uint8_t>(u.kind));
+  Put(out, u.edge.type);
+  Put(out, u.edge.src);
+  Put(out, u.edge.dst);
+  Put(out, u.edge.weight);
+}
+
+/// False on a truncated record or an unknown update kind.
+bool GetUpdate(const std::string& in, std::size_t* pos, EdgeUpdate* u) {
+  std::uint8_t kind;
+  if (!Get(in, pos, &kind) || !Get(in, pos, &u->edge.type) ||
+      !Get(in, pos, &u->edge.src) || !Get(in, pos, &u->edge.dst) ||
+      !Get(in, pos, &u->edge.weight)) {
+    return false;
+  }
+  if (kind > static_cast<std::uint8_t>(UpdateKind::kDelete)) return false;
+  u->kind = static_cast<UpdateKind>(kind);
+  return true;
+}
+
 }  // namespace
+
+std::size_t SampleRequestBytes(std::size_t seeds) {
+  // tag, edge_type, fanout, weighted, count, then the seeds.
+  return 14 + seeds * sizeof(VertexId);
+}
 
 std::string EncodeSampleRequest(const SampleRequest& req) {
   std::string out;
-  out.reserve(14 + req.seeds.size() * sizeof(VertexId));
+  out.reserve(SampleRequestBytes(req.seeds.size()));
   out.push_back('S');
   Put(&out, req.edge_type);
   Put(&out, req.fanout);
@@ -115,18 +147,16 @@ bool DecodeSampleResponse(const std::string& bytes, NeighborBatch* batch) {
   return pos == bytes.size();
 }
 
+std::size_t UpdateBatchBytes(std::size_t n) {
+  return 5 + n * kUpdateBytes;  // tag, count, then the records
+}
+
 std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch) {
   std::string out;
-  out.reserve(5 + batch.size() * 29);
+  out.reserve(UpdateBatchBytes(batch.size()));
   out.push_back('U');
   Put(&out, static_cast<std::uint32_t>(batch.size()));
-  for (const EdgeUpdate& u : batch) {
-    Put(&out, static_cast<std::uint8_t>(u.kind));
-    Put(&out, u.edge.type);
-    Put(&out, u.edge.src);
-    Put(&out, u.edge.dst);
-    Put(&out, u.edge.weight);
-  }
+  for (const EdgeUpdate& u : batch) PutUpdate(&out, u);
   return out;
 }
 
@@ -136,24 +166,17 @@ bool DecodeUpdateBatch(const std::string& bytes,
   if (bytes.empty() || bytes[pos++] != 'U') return false;
   std::uint32_t count;
   if (!Get(bytes, &pos, &count)) return false;
-  // Updates are fixed 29-byte records and the whole remaining payload:
+  // Updates are fixed-size records and the whole remaining payload:
   // exact arithmetic check before the reserve, so truncation, trailing
   // garbage and absurd counts are all rejected without allocating.
-  if (bytes.size() - pos != static_cast<std::size_t>(count) * 29) {
+  if (bytes.size() - pos != static_cast<std::size_t>(count) * kUpdateBytes) {
     return false;
   }
   batch->clear();
   batch->reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint8_t kind;
     EdgeUpdate u;
-    if (!Get(bytes, &pos, &kind) || !Get(bytes, &pos, &u.edge.type) ||
-        !Get(bytes, &pos, &u.edge.src) || !Get(bytes, &pos, &u.edge.dst) ||
-        !Get(bytes, &pos, &u.edge.weight)) {
-      return false;
-    }
-    if (kind > static_cast<std::uint8_t>(UpdateKind::kDelete)) return false;
-    u.kind = static_cast<UpdateKind>(kind);
+    if (!GetUpdate(bytes, &pos, &u)) return false;
     batch->push_back(u);
   }
   return pos == bytes.size();
@@ -179,18 +202,14 @@ DecodeResult GetRepHeader(const std::string& bytes, char tag,
 
 std::string EncodeRepLogAppend(const RepLogAppend& msg, std::uint8_t version) {
   std::string out;
-  out.reserve(10 + msg.entries.size() * 37);
+  out.reserve(10 + msg.entries.size() * kRepEntryBytes);
   out.push_back('L');
   Put(&out, version);
   Put(&out, msg.shard);
   Put(&out, static_cast<std::uint32_t>(msg.entries.size()));
   for (const RepLogEntry& e : msg.entries) {
     Put(&out, e.seq);
-    Put(&out, static_cast<std::uint8_t>(e.update.kind));
-    Put(&out, e.update.edge.type);
-    Put(&out, e.update.edge.src);
-    Put(&out, e.update.edge.dst);
-    Put(&out, e.update.edge.weight);
+    PutUpdate(&out, e.update);
   }
   return out;
 }
@@ -201,19 +220,14 @@ std::string EncodeRepLogAppendWindow(std::uint32_t shard,
                                      std::size_t count,
                                      std::uint8_t version) {
   std::string out;
-  out.reserve(10 + count * 37);
+  out.reserve(10 + count * kRepEntryBytes);
   out.push_back('L');
   Put(&out, version);
   Put(&out, shard);
   Put(&out, static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
-    const EdgeUpdate& u = window[i].update;
     Put(&out, first_seq + i);
-    Put(&out, static_cast<std::uint8_t>(u.kind));
-    Put(&out, u.edge.type);
-    Put(&out, u.edge.src);
-    Put(&out, u.edge.dst);
-    Put(&out, u.edge.weight);
+    PutUpdate(&out, window[i].update);
   }
   return out;
 }
@@ -226,10 +240,11 @@ DecodeResult DecodeRepLogAppend(const std::string& bytes, RepLogAppend* out) {
   if (!Get(bytes, &pos, &out->shard) || !Get(bytes, &pos, &count)) {
     return DecodeResult::kMalformed;
   }
-  // Entries are fixed 37-byte records and the whole remaining payload:
+  // Entries are fixed-size records and the whole remaining payload:
   // exact arithmetic check before the reserve (same hardening discipline
   // as DecodeUpdateBatch — absurd counts must not drive an allocation).
-  if (bytes.size() - pos != static_cast<std::size_t>(count) * 37) {
+  if (bytes.size() - pos !=
+      static_cast<std::size_t>(count) * kRepEntryBytes) {
     return DecodeResult::kMalformed;
   }
   out->entries.clear();
@@ -237,22 +252,13 @@ DecodeResult DecodeRepLogAppend(const std::string& bytes, RepLogAppend* out) {
   std::uint64_t prev_seq = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     RepLogEntry e;
-    std::uint8_t kind;
-    if (!Get(bytes, &pos, &e.seq) || !Get(bytes, &pos, &kind) ||
-        !Get(bytes, &pos, &e.update.edge.type) ||
-        !Get(bytes, &pos, &e.update.edge.src) ||
-        !Get(bytes, &pos, &e.update.edge.dst) ||
-        !Get(bytes, &pos, &e.update.edge.weight)) {
-      return DecodeResult::kMalformed;
-    }
-    if (kind > static_cast<std::uint8_t>(UpdateKind::kDelete)) {
+    if (!Get(bytes, &pos, &e.seq) || !GetUpdate(bytes, &pos, &e.update)) {
       return DecodeResult::kMalformed;
     }
     // Sequence numbers must be strictly increasing within a message — a
     // run that is not contiguous-sorted can never be a valid WAL window.
     if (i > 0 && e.seq != prev_seq + 1) return DecodeResult::kMalformed;
     prev_seq = e.seq;
-    e.update.kind = static_cast<UpdateKind>(kind);
     out->entries.push_back(e);
   }
   return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;

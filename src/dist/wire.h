@@ -65,6 +65,9 @@ struct SampleRequest {
 
 std::string EncodeSampleRequest(const SampleRequest& req);
 bool DecodeSampleRequest(const std::string& bytes, SampleRequest* req);
+/// EncodeSampleRequest(req).size() for a request carrying `seeds` seeds,
+/// without encoding: what the cluster counts as sent per sampling request.
+std::size_t SampleRequestBytes(std::size_t seeds);
 
 /// The response reuses NeighborBatch (per-seed ranges).
 std::string EncodeSampleResponse(const NeighborBatch& batch);
@@ -76,6 +79,9 @@ std::size_t SampleResponseBytes(const NeighborBatch& batch);
 std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch);
 bool DecodeUpdateBatch(const std::string& bytes,
                        std::vector<EdgeUpdate>* batch);
+/// EncodeUpdateBatch(batch).size() for an `n`-update batch, without
+/// encoding: what the cluster counts as sent per update RPC attempt.
+std::size_t UpdateBatchBytes(std::size_t n);
 
 // --- Replication protocol (primary -> replica log shipping) --------------
 

@@ -55,15 +55,7 @@ void AppendBucketLabels(const Labels& labels, const std::string& le,
 }
 
 const char* KindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-  }
-  return "untyped";
+  return kind == MetricKind::kHistogram ? "histogram" : "counter";
 }
 
 /// Upper bound of log bucket i in seconds, formatted compactly. Bucket 0

@@ -19,7 +19,7 @@ namespace platod2gl::obs {
 std::string ToPrometheusText(const RegistrySnapshot& snapshot);
 
 /// JSON array of points: {"name":..., "labels":{...}, "kind":...,
-/// "value":N} for counters/gauges; histograms carry "count" and the
+/// "value":N} for counters; histograms carry "count" and the
 /// percentile summary the benches consume.
 std::string ToJson(const RegistrySnapshot& snapshot);
 

@@ -69,18 +69,12 @@ void RegistrySnapshot::MergeFrom(const RegistrySnapshot& other) {
       points.push_back(theirs);
       continue;
     }
-    switch (theirs.kind) {
-      case MetricKind::kCounter:
-        mine->value += theirs.value;
-        break;
-      case MetricKind::kGauge:
-        mine->value = theirs.value;
-        break;
-      case MetricKind::kHistogram:
-        for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
-          mine->hist.buckets[i] += theirs.hist.buckets[i];
-        }
-        break;
+    if (theirs.kind == MetricKind::kCounter) {
+      mine->value += theirs.value;
+      continue;
+    }
+    for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
+      mine->hist.buckets[i] += theirs.hist.buckets[i];
     }
   }
   std::sort(points.begin(), points.end(), PointLess);
@@ -104,35 +98,8 @@ Counter* MetricRegistry::RegisterCounter(std::string name, Labels labels) {
   Counter* c = &counters_.emplace_back();
   series_.push_back(
       Series{std::move(name), std::move(labels), MetricKind::kCounter, c,
-             nullptr, nullptr});
+             nullptr});
   return c;
-}
-
-Gauge* MetricRegistry::RegisterGauge(std::string name, Labels labels) {
-  NormalizeLabels(&labels);
-  MutexLock lock(mu_);
-  if (Series* s = FindLocked(name, labels)) {
-    assert(s->kind == MetricKind::kGauge && s->gauge != nullptr);
-    return const_cast<Gauge*>(s->gauge);
-  }
-  Gauge* g = &gauges_.emplace_back();
-  series_.push_back(Series{std::move(name), std::move(labels),
-                           MetricKind::kGauge, nullptr, g, nullptr});
-  return g;
-}
-
-LatencyHistogram* MetricRegistry::RegisterHistogram(std::string name,
-                                                    Labels labels) {
-  NormalizeLabels(&labels);
-  MutexLock lock(mu_);
-  if (Series* s = FindLocked(name, labels)) {
-    assert(s->kind == MetricKind::kHistogram && s->hist != nullptr);
-    return const_cast<LatencyHistogram*>(s->hist);
-  }
-  LatencyHistogram* h = &hists_.emplace_back();
-  series_.push_back(Series{std::move(name), std::move(labels),
-                           MetricKind::kHistogram, nullptr, nullptr, h});
-  return h;
 }
 
 void MetricRegistry::RegisterExternalCounter(std::string name, Labels labels,
@@ -145,7 +112,7 @@ void MetricRegistry::RegisterExternalCounter(std::string name, Labels labels,
     return;
   }
   series_.push_back(Series{std::move(name), std::move(labels),
-                           MetricKind::kCounter, counter, nullptr, nullptr});
+                           MetricKind::kCounter, counter, nullptr});
 }
 
 void MetricRegistry::RegisterExternalHistogram(std::string name, Labels labels,
@@ -158,7 +125,7 @@ void MetricRegistry::RegisterExternalHistogram(std::string name, Labels labels,
     return;
   }
   series_.push_back(Series{std::move(name), std::move(labels),
-                           MetricKind::kHistogram, nullptr, nullptr, hist});
+                           MetricKind::kHistogram, nullptr, hist});
 }
 
 RegistrySnapshot MetricRegistry::Snapshot() const {
@@ -170,16 +137,10 @@ RegistrySnapshot MetricRegistry::Snapshot() const {
     p.name = s.name;
     p.labels = s.labels;
     p.kind = s.kind;
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        p.value = s.counter->Value();
-        break;
-      case MetricKind::kGauge:
-        p.value = s.gauge->Value();
-        break;
-      case MetricKind::kHistogram:
-        p.hist = s.hist->Snapshot();
-        break;
+    if (s.kind == MetricKind::kCounter) {
+      p.value = s.counter->Value();
+    } else {
+      p.hist = s.hist->Snapshot();
     }
     snap.points.push_back(std::move(p));
   }

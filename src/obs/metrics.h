@@ -9,7 +9,6 @@
 //  * Counter — a monotone relaxed atomic tally, the histogram.h recording
 //    discipline generalised: Add() is one relaxed fetch_add from any
 //    thread, Value() a relaxed load. Lock-cheap by construction.
-//  * Gauge — a point-in-time value (queue depth, watermark); Set/Value.
 //  * Histogram — the existing LatencyHistogram, registered so its
 //    Snapshot/DeltaSince windows ride the same export path.
 //
@@ -26,10 +25,16 @@
 // numbers never bleed into each other. Subsystems own (or borrow) a
 // registry and export through it.
 //
-// StatsBinding<S> is the dedup path for the legacy snapshot structs: a
-// subsystem maps each registered counter onto a member of its public
-// stats struct once, and stats() becomes a single shared fill loop — the
-// per-struct hand-rolled load loops are gone.
+// Each subsystem declares its counters once, as a list macro
+// PD2GL_<SUBSYSTEM>_COUNTERS(X) with one row per counter:
+//
+//   X(hits)    /* served from a valid entry */
+//   X(misses)  /* no entry for the key */
+//
+// The two expansions at the end of this header turn the rows into the
+// fields of the subsystem's plain snapshot struct and into the live
+// handles it bumps; its .cc expands the list twice more, to register each
+// counter as `pd2gl_<subsystem>_<name>` and to fill the snapshot.
 #pragma once
 
 #include <cassert>
@@ -67,27 +72,6 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Point-in-time value (depths, watermarks). Not monotone; snapshots
-/// report the latest Set.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(std::uint64_t v) {
-    // order: advisory point-in-time value, read for reporting only
-    v_.store(v, std::memory_order_relaxed);
-  }
-  std::uint64_t Value() const {
-    // order: advisory point-in-time value, read for reporting only
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
 /// One label dimension. Cardinality rules in docs/observability.md: label
 /// values must come from a SMALL, BOUNDED set (shard index, tenant id,
 /// policy name) — never request ids or vertex ids.
@@ -99,14 +83,14 @@ struct Label {
 };
 using Labels = std::vector<Label>;
 
-enum class MetricKind : std::uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
+enum class MetricKind : std::uint8_t { kCounter = 0, kHistogram = 1 };
 
 /// One series in a snapshot: plain values, safe to copy and export.
 struct MetricPoint {
   std::string name;
   Labels labels;
   MetricKind kind = MetricKind::kCounter;
-  std::uint64_t value = 0;      ///< counters and gauges
+  std::uint64_t value = 0;      ///< counters only
   HistogramSnapshot hist;       ///< histograms only
 };
 
@@ -117,7 +101,7 @@ struct RegistrySnapshot {
 
   const MetricPoint* Find(const std::string& name,
                           const Labels& labels = {}) const;
-  /// Counter/gauge value; 0 when the series is absent.
+  /// Counter value; 0 when the series is absent.
   std::uint64_t Value(const std::string& name, const Labels& labels = {}) const;
   /// Histogram buckets; empty snapshot when the series is absent.
   HistogramSnapshot Hist(const std::string& name,
@@ -126,33 +110,9 @@ struct RegistrySnapshot {
   std::uint64_t SumAcrossLabels(const std::string& name) const;
 
   /// Fold another snapshot in: matching (name, labels) series sum their
-  /// counters and merge their histogram buckets (gauges take the other
-  /// side's value); unmatched series are appended. Used to export several
-  /// subsystem registries as one page.
+  /// counters and merge their histogram buckets; unmatched series are
+  /// appended. Used to export several subsystem registries as one page.
   void MergeFrom(const RegistrySnapshot& other);
-};
-
-/// Maps registered counters onto the members of a legacy stats struct S,
-/// so the subsystem's stats() is one shared fill loop instead of a
-/// hand-rolled per-struct copy.
-template <typename S>
-class StatsBinding {
- public:
-  void Map(const Counter* c, std::uint64_t S::*field) {
-    fields_.push_back(Entry{c, field});
-  }
-  S Read() const {
-    S s{};
-    for (const Entry& e : fields_) s.*(e.field) = e.counter->Value();
-    return s;
-  }
-
- private:
-  struct Entry {
-    const Counter* counter;
-    std::uint64_t S::*field;
-  };
-  std::vector<Entry> fields_;
 };
 
 class MetricRegistry {
@@ -161,25 +121,14 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  /// Register (or find) an owned series. Pointers stay valid for the
+  /// Register (or find) an owned counter. The pointer stays valid for the
   /// registry's lifetime. Re-registering the same (name, labels) with a
   /// different kind is a programming error.
   Counter* RegisterCounter(std::string name, Labels labels = {});
-  Gauge* RegisterGauge(std::string name, Labels labels = {});
-  LatencyHistogram* RegisterHistogram(std::string name, Labels labels = {});
-
-  /// Register a counter AND map it onto a stats-struct member in one
-  /// step — the migration one-liner for legacy stats() structs.
-  template <typename S>
-  Counter* BindCounter(StatsBinding<S>* binding, std::uint64_t S::*field,
-                       std::string name, Labels labels = {}) {
-    Counter* c = RegisterCounter(std::move(name), std::move(labels));
-    binding->Map(c, field);
-    return c;
-  }
 
   /// Borrowed series: the metric object lives inside a subsystem (e.g.
-  /// SampleCache's tallies) and must outlive the registry entry.
+  /// SampleCache's tallies, the latency histograms) and must outlive the
+  /// registry entry. Registering an existing series again re-points it.
   void RegisterExternalCounter(std::string name, Labels labels,
                                const Counter* counter);
   void RegisterExternalHistogram(std::string name, Labels labels,
@@ -195,7 +144,6 @@ class MetricRegistry {
     Labels labels;
     MetricKind kind = MetricKind::kCounter;
     const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
     const LatencyHistogram* hist = nullptr;
   };
 
@@ -203,12 +151,16 @@ class MetricRegistry {
       REQUIRES(mu_);
 
   mutable Mutex mu_;
-  // Deques: stable addresses for handed-out metric pointers.
+  // A deque: stable addresses for handed-out counter pointers.
   std::deque<Counter> counters_ GUARDED_BY(mu_);
-  std::deque<Gauge> gauges_ GUARDED_BY(mu_);
-  std::deque<LatencyHistogram> hists_ GUARDED_BY(mu_);
   std::vector<Series> series_ GUARDED_BY(mu_);
 };
+
+/// The two shared expansions of a PD2GL_<SUBSYSTEM>_COUNTERS(X) list: a
+/// field of the subsystem's snapshot struct, and the registry-owned handle
+/// the subsystem bumps.
+#define PD2GL_STATS_FIELD(name) std::uint64_t name = 0;
+#define PD2GL_COUNTER_HANDLE(name) obs::Counter* name = nullptr;
 
 /// Canonical label sort (by key, then value) applied at registration so
 /// lookups and exports are order-independent.

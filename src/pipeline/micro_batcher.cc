@@ -56,19 +56,10 @@ MicroBatcher::MicroBatcher(GraphStore* graph, ThreadPool* pool,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = MicroBatcherStats;
-  counters_.batches_applied = metrics_->BindCounter(
-      &binding_, &S::batches_applied, "pd2gl_micro_batcher_batches_applied");
-  counters_.updates_ingested = metrics_->BindCounter(
-      &binding_, &S::updates_ingested, "pd2gl_micro_batcher_updates_ingested");
-  counters_.updates_applied = metrics_->BindCounter(
-      &binding_, &S::updates_applied, "pd2gl_micro_batcher_updates_applied");
-  counters_.coalesced = metrics_->BindCounter(
-      &binding_, &S::coalesced, "pd2gl_micro_batcher_coalesced");
-  counters_.log_rejected = metrics_->BindCounter(
-      &binding_, &S::log_rejected, "pd2gl_micro_batcher_log_rejected");
-  counters_.invalid_dropped = metrics_->BindCounter(
-      &binding_, &S::invalid_dropped, "pd2gl_micro_batcher_invalid_dropped");
+#define PD2GL_REGISTER(name) \
+  counters_.name = metrics_->RegisterCounter("pd2gl_micro_batcher_" #name);
+  PD2GL_MICRO_BATCHER_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
 }
 
 std::size_t MicroBatcher::Coalesce(std::vector<EdgeUpdate>* batch) {
@@ -212,7 +203,10 @@ std::size_t MicroBatcher::Flush() {
 }
 
 MicroBatcherStats MicroBatcher::Stats() const {
-  MicroBatcherStats s = binding_.Read();
+  MicroBatcherStats s;
+#define PD2GL_FILL(name) s.name = counters_.name->Value();
+  PD2GL_MICRO_BATCHER_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
   s.applied_watermark = applied_watermark();
   s.pending = pending_size_.load(std::memory_order_acquire);
   return s;

@@ -44,15 +44,20 @@ struct MicroBatcherConfig {
   bool coalesce = true;          ///< fold per-edge churn before applying
 };
 
-/// Monotonic counters (registry-backed, mirrored out via the shared
-/// obs::StatsBinding fill loop) + point-in-time watermark/depth.
+/// Micro-batcher counters, one row each: exported as
+/// pd2gl_micro_batcher_<name> and snapshotted into MicroBatcherStats by
+/// MicroBatcher::Stats().
+#define PD2GL_MICRO_BATCHER_COUNTERS(X)                                        \
+  X(batches_applied)                                                           \
+  X(updates_ingested) /* raw updates drained */                                \
+  X(updates_applied)  /* after coalescing */                                   \
+  X(coalesced)        /* updates folded away */                                \
+  X(log_rejected)     /* WAL monotonicity rejects */                           \
+  X(invalid_dropped)  /* edge type out of range */
+
+/// The counters plus the point-in-time watermark and depth.
 struct MicroBatcherStats {
-  std::uint64_t batches_applied = 0;
-  std::uint64_t updates_ingested = 0;   ///< raw updates drained
-  std::uint64_t updates_applied = 0;    ///< after coalescing
-  std::uint64_t coalesced = 0;          ///< updates folded away
-  std::uint64_t log_rejected = 0;       ///< WAL monotonicity rejects
-  std::uint64_t invalid_dropped = 0;    ///< edge type out of range
+  PD2GL_MICRO_BATCHER_COUNTERS(PD2GL_STATS_FIELD)
   std::uint64_t applied_watermark = 0;  ///< newest timestamp in the store
   std::size_t pending = 0;              ///< drained but not yet applied
 };
@@ -96,16 +101,6 @@ class MicroBatcher {
   const MicroBatcherConfig& config() const { return config_; }
 
  private:
-  /// Registry-backed monotone tallies (pd2gl_micro_batcher_*).
-  struct Counters {
-    obs::Counter* batches_applied = nullptr;
-    obs::Counter* updates_ingested = nullptr;
-    obs::Counter* updates_applied = nullptr;
-    obs::Counter* coalesced = nullptr;
-    obs::Counter* log_rejected = nullptr;
-    obs::Counter* invalid_dropped = nullptr;
-  };
-
   GraphStore* graph_;
   UpdateIngestor* ingestor_;
   EpochCoordinator* epochs_;
@@ -114,8 +109,10 @@ class MicroBatcher {
   std::vector<std::unique_ptr<BatchUpdater>> updaters_;  // one per relation
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<MicroBatcherStats> binding_;
-  Counters counters_;
+  // The pd2gl_micro_batcher_* handles, one per list row.
+  struct {
+    PD2GL_MICRO_BATCHER_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters_;
 
   // Consumer-thread state: drained-but-unapplied updates in (ts, seq)
   // order, plus the per-pump scratch batch.

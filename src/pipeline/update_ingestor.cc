@@ -18,17 +18,10 @@ UpdateIngestor::UpdateIngestor(IngestorConfig config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = IngestorStats;
-  counters_.accepted =
-      metrics_->BindCounter(&binding_, &S::accepted, "pd2gl_ingest_accepted");
-  counters_.rejected =
-      metrics_->BindCounter(&binding_, &S::rejected, "pd2gl_ingest_rejected");
-  counters_.dropped =
-      metrics_->BindCounter(&binding_, &S::dropped, "pd2gl_ingest_dropped");
-  counters_.invalid =
-      metrics_->BindCounter(&binding_, &S::invalid, "pd2gl_ingest_invalid");
-  counters_.closed_rejects = metrics_->BindCounter(
-      &binding_, &S::closed_rejects, "pd2gl_ingest_closed_rejects");
+#define PD2GL_REGISTER(name) \
+  counters_.name = metrics_->RegisterCounter("pd2gl_ingest_" #name);
+  PD2GL_INGEST_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
 }
 
 UpdateIngestor::~UpdateIngestor() { Close(); }
@@ -138,7 +131,10 @@ std::size_t UpdateIngestor::DrainAll(std::vector<IngestedUpdate>* out) {
 }
 
 IngestorStats UpdateIngestor::Stats() const {
-  IngestorStats s = binding_.Read();
+  IngestorStats s;
+#define PD2GL_FILL(name) s.name = counters_.name->Value();
+  PD2GL_INGEST_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
   s.watermark = watermark();
   s.queued = QueueDepth();
   return s;

@@ -57,15 +57,20 @@ struct IngestorConfig {
   std::size_t num_relations = 0;
 };
 
-/// Monotonic counters + a point-in-time queue snapshot.
+/// Ingestor counters, one row each: exported as pd2gl_ingest_<name> and
+/// snapshotted into IngestorStats by UpdateIngestor::Stats().
+#define PD2GL_INGEST_COUNTERS(X)                                               \
+  X(accepted)       /* offers that entered a queue */                          \
+  X(rejected)       /* kReject policy refusals (queue full) */                 \
+  X(dropped)        /* kDropOldest evictions */                                \
+  X(invalid)        /* bad edge type, refused at the door */                   \
+  X(closed_rejects) /* offers after Close() */
+
+/// The counters plus a point-in-time queue snapshot.
 struct IngestorStats {
-  std::uint64_t accepted = 0;      ///< offers that entered a queue
-  std::uint64_t rejected = 0;      ///< kReject policy refusals (queue full)
-  std::uint64_t dropped = 0;       ///< kDropOldest evictions
-  std::uint64_t invalid = 0;       ///< bad edge type, refused at the door
-  std::uint64_t closed_rejects = 0;  ///< offers after Close()
-  std::uint64_t watermark = 0;     ///< newest accepted event timestamp
-  std::size_t queued = 0;          ///< updates currently waiting
+  PD2GL_INGEST_COUNTERS(PD2GL_STATS_FIELD)
+  std::uint64_t watermark = 0;  ///< newest accepted event timestamp
+  std::size_t queued = 0;       ///< updates currently waiting
 };
 
 /// An accepted update plus its admission sequence number (the global
@@ -130,15 +135,6 @@ class UpdateIngestor {
     std::deque<IngestedUpdate> queue GUARDED_BY(mu);
   };
 
-  /// Registry-backed monotone tallies (pd2gl_ingest_*).
-  struct Counters {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* invalid = nullptr;
-    obs::Counter* closed_rejects = nullptr;
-  };
-
   Shard& ShardFor(const EdgeUpdate& u);
   void NoteAccepted(std::uint64_t timestamp);
 
@@ -146,8 +142,10 @@ class UpdateIngestor {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<IngestorStats> binding_;
-  Counters counters_;
+  // The pd2gl_ingest_* handles, one per list row.
+  struct {
+    PD2GL_INGEST_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters_;
   // STATE atomics stay sched::Atomic (== std::atomic in production;
   // under PD2GL_SCHEDCHECK every access is a schedule point so the
   // checker can interleave producers, the consumer, and shutdown around

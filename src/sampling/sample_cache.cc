@@ -163,29 +163,29 @@ bool SampleCache::Sample(VertexId v, EdgeType type, const Samtree& tree,
   }
 
   if (entry && entry->version == now) {
-    hits_.Add();
+    tallies_.hits.Add();
     entry->Draw(weighted, k, rng, out);
     return true;
   }
 
   if (entry) {
     // Invalidation path: the tree changed since the entry was built.
-    stale_hits_.Add();
+    tallies_.stale_hits.Add();
     entry = BuildEntry(tree);
     std::size_t evicted;
     {
       SpinlockGuard lock(shard.mu);
       evicted = shard.Put(key, entry, shard_capacity_);
     }
-    rebuilds_.Add();
-    if (evicted) evictions_.Add(evicted);
+    tallies_.rebuilds.Add();
+    if (evicted) tallies_.evictions.Add(evicted);
     entry->Draw(weighted, k, rng, out);
     return true;
   }
 
-  misses_.Add();
+  tallies_.misses.Add();
   if (tree.size() < config_.min_degree) {
-    cold_rejects_.Add();
+    tallies_.cold_rejects.Add();
     return false;
   }
 
@@ -202,7 +202,7 @@ bool SampleCache::Sample(VertexId v, EdgeType type, const Samtree& tree,
     }
   }
   if (!admit) {
-    cold_rejects_.Add();
+    tallies_.cold_rejects.Add();
     return false;
   }
 
@@ -212,8 +212,8 @@ bool SampleCache::Sample(VertexId v, EdgeType type, const Samtree& tree,
     SpinlockGuard lock(shard.mu);
     evicted = shard.Put(key, entry, shard_capacity_);
   }
-  admissions_.Add();
-  if (evicted) evictions_.Add(evicted);
+  tallies_.admissions.Add();
+  if (evicted) tallies_.evictions.Add(evicted);
   entry->Draw(weighted, k, rng, out);
   return true;
 }
@@ -251,44 +251,27 @@ std::size_t SampleCache::MemoryUsage() const {
 
 SampleCacheStats SampleCache::Stats() const {
   SampleCacheStats s;
-  s.hits = hits_.Value() - baseline_.hits;
-  s.misses = misses_.Value() - baseline_.misses;
-  s.stale_hits = stale_hits_.Value() - baseline_.stale_hits;
-  s.rebuilds = rebuilds_.Value() - baseline_.rebuilds;
-  s.admissions = admissions_.Value() - baseline_.admissions;
-  s.evictions = evictions_.Value() - baseline_.evictions;
-  s.cold_rejects = cold_rejects_.Value() - baseline_.cold_rejects;
+#define PD2GL_FILL(name) s.name = tallies_.name.Value() - baseline_.name;
+  PD2GL_SAMPLE_CACHE_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
   return s;
 }
 
 void SampleCache::ResetStats() {
-  // DeltaSince-style window restart: record the monotone counters as the
-  // new baseline instead of zeroing them, so registry exports never see a
-  // counter go backwards.
-  baseline_.hits = hits_.Value();
-  baseline_.misses = misses_.Value();
-  baseline_.stale_hits = stale_hits_.Value();
-  baseline_.rebuilds = rebuilds_.Value();
-  baseline_.admissions = admissions_.Value();
-  baseline_.evictions = evictions_.Value();
-  baseline_.cold_rejects = cold_rejects_.Value();
+  // DeltaSince-style window restart: the monotone totals (Stats() over a
+  // zero baseline) become the new baseline instead of zeroing the
+  // counters, so registry exports never see a counter go backwards.
+  baseline_ = SampleCacheStats{};
+  baseline_ = Stats();
 }
 
 void SampleCache::RegisterWith(obs::MetricRegistry* registry,
                                const obs::Labels& labels) const {
-  registry->RegisterExternalCounter("pd2gl_sample_cache_hits", labels, &hits_);
-  registry->RegisterExternalCounter("pd2gl_sample_cache_misses", labels,
-                                    &misses_);
-  registry->RegisterExternalCounter("pd2gl_sample_cache_stale_hits", labels,
-                                    &stale_hits_);
-  registry->RegisterExternalCounter("pd2gl_sample_cache_rebuilds", labels,
-                                    &rebuilds_);
-  registry->RegisterExternalCounter("pd2gl_sample_cache_admissions", labels,
-                                    &admissions_);
-  registry->RegisterExternalCounter("pd2gl_sample_cache_evictions", labels,
-                                    &evictions_);
-  registry->RegisterExternalCounter("pd2gl_sample_cache_cold_rejects", labels,
-                                    &cold_rejects_);
+#define PD2GL_REGISTER(name)                                              \
+  registry->RegisterExternalCounter("pd2gl_sample_cache_" #name, labels, \
+                                    &tallies_.name);
+  PD2GL_SAMPLE_CACHE_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
 }
 
 }  // namespace platod2gl

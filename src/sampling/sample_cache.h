@@ -44,18 +44,22 @@ struct SampleCacheConfig {
   std::uint32_t admit_after_misses = 2;  ///< admission: traffic gate
 };
 
-/// Monotonic counters, mirrored out of the cache's obs::Counter tallies
-/// (common/histogram.h-style lock-free recording, snapshot on read).
+/// The cache's tallies, one row each: exported as
+/// pd2gl_sample_cache_<name> by SampleCache::RegisterWith() and snapshotted
+/// into SampleCacheStats by SampleCache::Stats().
+#define PD2GL_SAMPLE_CACHE_COUNTERS(X)                                         \
+  X(hits)         /* served from a valid entry */                              \
+  X(misses)       /* no entry for the key */                                   \
+  X(stale_hits)   /* entry found but version mismatched */                     \
+  X(rebuilds)     /* stale entries rebuilt in place */                         \
+  X(admissions)   /* entries built for new keys */                             \
+  X(evictions)    /* entries dropped by LRU pressure */                        \
+  X(cold_rejects) /* misses gated out by admission */
+
 /// Stats() subtracts the ResetStats() baseline, so the numbers here are
 /// window deltas while the registry series stay monotone.
 struct SampleCacheStats {
-  std::uint64_t hits = 0;          ///< served from a valid entry
-  std::uint64_t misses = 0;        ///< no entry for the key
-  std::uint64_t stale_hits = 0;    ///< entry found but version mismatched
-  std::uint64_t rebuilds = 0;      ///< stale entries rebuilt in place
-  std::uint64_t admissions = 0;    ///< entries built for new keys
-  std::uint64_t evictions = 0;     ///< entries dropped by LRU pressure
-  std::uint64_t cold_rejects = 0;  ///< misses gated out by admission
+  PD2GL_SAMPLE_CACHE_COUNTERS(PD2GL_STATS_FIELD)
 
   double HitRate() const {
     const std::uint64_t total = hits + stale_hits + misses;
@@ -96,7 +100,8 @@ class SampleCache {
 
   /// Expose the tallies as pd2gl_sample_cache_* series of `registry`
   /// (labels identify the owning shard). The cache must outlive the
-  /// registry entries.
+  /// registry entries, or be replaced in them by registering its
+  /// successor under the same labels.
   void RegisterWith(obs::MetricRegistry* registry,
                     const obs::Labels& labels) const;
 
@@ -114,13 +119,12 @@ class SampleCache {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_capacity_ = 0;
 
-  mutable obs::Counter hits_;
-  mutable obs::Counter misses_;
-  mutable obs::Counter stale_hits_;
-  mutable obs::Counter rebuilds_;
-  mutable obs::Counter admissions_;
-  mutable obs::Counter evictions_;
-  mutable obs::Counter cold_rejects_;
+  // The live tallies, one owned obs::Counter per list row.
+#define PD2GL_SAMPLE_CACHE_TALLY(name) obs::Counter name;
+  struct {
+    PD2GL_SAMPLE_CACHE_COUNTERS(PD2GL_SAMPLE_CACHE_TALLY)
+  } tallies_;
+#undef PD2GL_SAMPLE_CACHE_TALLY
   /// Counter values at the last ResetStats(); Stats() reports the delta.
   SampleCacheStats baseline_;
 };

@@ -16,17 +16,10 @@ AdmissionController::AdmissionController(AdmissionConfig config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = AdmissionStats;
-  counters_.admitted =
-      metrics_->BindCounter(&binding_, &S::admitted, "pd2gl_admission_admitted");
-  counters_.window_rejects = metrics_->BindCounter(
-      &binding_, &S::window_rejects, "pd2gl_admission_window_rejects");
-  counters_.quota_rejects = metrics_->BindCounter(
-      &binding_, &S::quota_rejects, "pd2gl_admission_quota_rejects");
-  counters_.closed_rejects = metrics_->BindCounter(
-      &binding_, &S::closed_rejects, "pd2gl_admission_closed_rejects");
-  counters_.blocked_waits = metrics_->BindCounter(
-      &binding_, &S::blocked_waits, "pd2gl_admission_blocked_waits");
+#define PD2GL_REGISTER(name) \
+  counters_.name = metrics_->RegisterCounter("pd2gl_admission_" #name);
+  PD2GL_ADMISSION_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
 }
 
 bool AdmissionController::HasRoom(std::uint32_t tenant) const {
@@ -117,7 +110,10 @@ void AdmissionController::Close() {
 }
 
 AdmissionStats AdmissionController::Stats() const {
-  AdmissionStats s = binding_.Read();
+  AdmissionStats s;
+#define PD2GL_FILL(name) s.name = counters_.name->Value();
+  PD2GL_ADMISSION_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
   s.in_flight = in_flight();
   return s;
 }

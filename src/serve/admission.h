@@ -53,14 +53,19 @@ struct AdmissionConfig {
   AdmissionPolicy policy = AdmissionPolicy::kReject;
 };
 
-/// Monotonic counters + a point-in-time window snapshot.
+/// Admission counters, one row each: exported as pd2gl_admission_<name>
+/// and snapshotted into AdmissionStats by AdmissionController::Stats().
+#define PD2GL_ADMISSION_COUNTERS(X)                                            \
+  X(admitted)                                                                  \
+  X(window_rejects) /* probes refused: window full */                          \
+  X(quota_rejects)  /* probes refused: tenant over quota */                    \
+  X(closed_rejects) /* probes after Close() */                                 \
+  X(blocked_waits)  /* kBlock submitters that had to wait */
+
+/// The counters plus a point-in-time window snapshot.
 struct AdmissionStats {
-  std::uint64_t admitted = 0;
-  std::uint64_t window_rejects = 0;  ///< probes refused: window full
-  std::uint64_t quota_rejects = 0;   ///< probes refused: tenant over quota
-  std::uint64_t closed_rejects = 0;  ///< probes after Close()
-  std::uint64_t blocked_waits = 0;   ///< kBlock submitters that had to wait
-  std::size_t in_flight = 0;         ///< admitted - released right now
+  PD2GL_ADMISSION_COUNTERS(PD2GL_STATS_FIELD)
+  std::size_t in_flight = 0;  ///< admitted - released right now
 };
 
 class AdmissionController {
@@ -111,21 +116,13 @@ class AdmissionController {
   bool HasRoom(std::uint32_t tenant) const REQUIRES(mu_);
   void AdmitLocked(std::uint32_t tenant) REQUIRES(mu_);
 
-  /// Registry-backed monotone tallies (pd2gl_admission_*); Stats() reads
-  /// them back through the shared binding fill loop.
-  struct Counters {
-    obs::Counter* admitted = nullptr;
-    obs::Counter* window_rejects = nullptr;
-    obs::Counter* quota_rejects = nullptr;
-    obs::Counter* closed_rejects = nullptr;
-    obs::Counter* blocked_waits = nullptr;
-  };
-
   AdmissionConfig config_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<AdmissionStats> binding_;
-  Counters counters_;
+  // The pd2gl_admission_* handles, one per list row.
+  struct {
+    PD2GL_ADMISSION_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters_;
   mutable Mutex mu_;
   CondVar space_cv_;  // kBlock submitters wait here for Release or Close
   std::size_t in_flight_ GUARDED_BY(mu_) = 0;

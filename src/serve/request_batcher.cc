@@ -14,17 +14,10 @@ RequestBatcher::RequestBatcher(BatcherConfig config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = BatcherStats;
-  counters_.enqueued =
-      metrics_->BindCounter(&binding_, &S::enqueued, "pd2gl_batcher_enqueued");
-  counters_.dispatched = metrics_->BindCounter(&binding_, &S::dispatched,
-                                               "pd2gl_batcher_dispatched");
-  counters_.batches =
-      metrics_->BindCounter(&binding_, &S::batches, "pd2gl_batcher_batches");
-  counters_.shed =
-      metrics_->BindCounter(&binding_, &S::shed, "pd2gl_batcher_shed");
-  counters_.closed_rejects = metrics_->BindCounter(
-      &binding_, &S::closed_rejects, "pd2gl_batcher_closed_rejects");
+#define PD2GL_REGISTER(name) \
+  counters_.name = metrics_->RegisterCounter("pd2gl_batcher_" #name);
+  PD2GL_BATCHER_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
 }
 
 Status RequestBatcher::Enqueue(PendingRequest req, std::uint64_t now_us) {
@@ -100,7 +93,10 @@ void RequestBatcher::Close() {
 }
 
 BatcherStats RequestBatcher::Stats() const {
-  BatcherStats s = binding_.Read();
+  BatcherStats s;
+#define PD2GL_FILL(name) s.name = counters_.name->Value();
+  PD2GL_BATCHER_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
   s.queued = Depth();
   return s;
 }

@@ -58,13 +58,18 @@ struct BatcherConfig {
   std::uint64_t window_us = 200;   ///< batch-formation deadline (virtual)
 };
 
-/// Monotonic counters + a point-in-time queue snapshot.
+/// Batcher counters, one row each: exported as pd2gl_batcher_<name> and
+/// snapshotted into BatcherStats by RequestBatcher::Stats().
+#define PD2GL_BATCHER_COUNTERS(X)                                              \
+  X(enqueued)                                                                  \
+  X(dispatched)     /* requests released into batches */                       \
+  X(batches)        /* batches formed */                                       \
+  X(shed)           /* requests evicted by ShedOldest */                       \
+  X(closed_rejects) /* enqueues after Close() */
+
+/// The counters plus a point-in-time queue snapshot.
 struct BatcherStats {
-  std::uint64_t enqueued = 0;
-  std::uint64_t dispatched = 0;      ///< requests released into batches
-  std::uint64_t batches = 0;         ///< batches formed
-  std::uint64_t shed = 0;            ///< requests evicted by ShedOldest
-  std::uint64_t closed_rejects = 0;  ///< enqueues after Close()
+  PD2GL_BATCHER_COUNTERS(PD2GL_STATS_FIELD)
   std::size_t queued = 0;
 };
 
@@ -114,20 +119,13 @@ class RequestBatcher {
   const BatcherConfig& config() const { return config_; }
 
  private:
-  /// Registry-backed monotone tallies (pd2gl_batcher_*).
-  struct Counters {
-    obs::Counter* enqueued = nullptr;
-    obs::Counter* dispatched = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* closed_rejects = nullptr;
-  };
-
   BatcherConfig config_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<BatcherStats> binding_;
-  Counters counters_;
+  // The pd2gl_batcher_* handles, one per list row.
+  struct {
+    PD2GL_BATCHER_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters_;
   mutable Mutex mu_;
   std::deque<PendingRequest> queue_ GUARDED_BY(mu_);
 

@@ -26,32 +26,10 @@ GraphServer::GraphServer(GraphCluster* cluster, EpochCoordinator* epochs,
   }
   metrics_.RegisterExternalHistogram("pd2gl_serve_latency_nanos", {},
                                      &latency_);
-  using S = ServeStats;
-  counters_.submitted =
-      metrics_.BindCounter(&binding_, &S::submitted, "pd2gl_serve_submitted");
-  counters_.completed =
-      metrics_.BindCounter(&binding_, &S::completed, "pd2gl_serve_completed");
-  counters_.ok = metrics_.BindCounter(&binding_, &S::ok, "pd2gl_serve_ok");
-  counters_.degraded =
-      metrics_.BindCounter(&binding_, &S::degraded, "pd2gl_serve_degraded");
-  counters_.shed =
-      metrics_.BindCounter(&binding_, &S::shed, "pd2gl_serve_shed");
-  counters_.invalid =
-      metrics_.BindCounter(&binding_, &S::invalid, "pd2gl_serve_invalid");
-  counters_.rejected =
-      metrics_.BindCounter(&binding_, &S::rejected, "pd2gl_serve_rejected");
-  counters_.batches =
-      metrics_.BindCounter(&binding_, &S::batches, "pd2gl_serve_batches");
-  counters_.batched_requests = metrics_.BindCounter(
-      &binding_, &S::batched_requests, "pd2gl_serve_batched_requests");
-  counters_.rpc_rounds =
-      metrics_.BindCounter(&binding_, &S::rpc_rounds, "pd2gl_serve_rpc_rounds");
-  counters_.virtual_busy_us = metrics_.BindCounter(
-      &binding_, &S::virtual_busy_us, "pd2gl_serve_virtual_busy_us");
-  counters_.slo_windows = metrics_.BindCounter(&binding_, &S::slo_windows,
-                                               "pd2gl_serve_slo_windows");
-  counters_.slo_violations = metrics_.BindCounter(
-      &binding_, &S::slo_violations, "pd2gl_serve_slo_violations");
+#define PD2GL_REGISTER(name) \
+  counters_.name = metrics_.RegisterCounter("pd2gl_serve_" #name);
+  PD2GL_SERVE_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
 }
 
 void GraphServer::RetireLocked(std::uint64_t now_us, bool all) {
@@ -316,7 +294,10 @@ SloReport GraphServer::EndSloWindow() {
 }
 
 ServeStats GraphServer::Stats() const {
-  ServeStats s = binding_.Read();
+  ServeStats s;
+#define PD2GL_FILL(name) s.name = counters_.name->Value();
+  PD2GL_SERVE_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
   s.admission = admission_.Stats();
   s.batcher = batcher_.Stats();
   return s;

@@ -83,22 +83,27 @@ struct SloReport {
   std::uint64_t exemplar_trace_id = 0;
 };
 
-/// Monotonic counters + point-in-time queue/window snapshots; admission
-/// and batcher counters ride along so one call tells the whole story.
+/// Server counters, one row each: exported as pd2gl_serve_<name> and
+/// snapshotted into ServeStats by GraphServer::Stats().
+#define PD2GL_SERVE_COUNTERS(X)                                                \
+  X(submitted)                                                                 \
+  X(completed)        /* responses retired (incl. shed) */                     \
+  X(ok)                                                                        \
+  X(degraded)                                                                  \
+  X(shed)             /* completed as kShed */                                 \
+  X(invalid)          /* bad tenant / plan validation failures */              \
+  X(rejected)         /* refused by admission (reject policy) */               \
+  X(batches)                                                                   \
+  X(batched_requests)                                                          \
+  X(rpc_rounds)                                                                \
+  X(virtual_busy_us)  /* summed batch service time */                          \
+  X(slo_windows)                                                               \
+  X(slo_violations)
+
+/// The counters; admission and batcher stats ride along so one call tells
+/// the whole story.
 struct ServeStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;       ///< responses retired (incl. shed)
-  std::uint64_t ok = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t shed = 0;            ///< completed as kShed
-  std::uint64_t invalid = 0;         ///< bad tenant / plan validation failures
-  std::uint64_t rejected = 0;        ///< refused by admission (reject policy)
-  std::uint64_t batches = 0;
-  std::uint64_t batched_requests = 0;
-  std::uint64_t rpc_rounds = 0;
-  std::uint64_t virtual_busy_us = 0;  ///< summed batch service time
-  std::uint64_t slo_windows = 0;
-  std::uint64_t slo_violations = 0;
+  PD2GL_SERVE_COUNTERS(PD2GL_STATS_FIELD)
   AdmissionStats admission;
   BatcherStats batcher;
 };
@@ -199,23 +204,6 @@ class GraphServer {
   void CompleteShedLocked(PendingRequest victim, std::uint64_t now_us)
       REQUIRES(mu_);
 
-  /// Registry-backed monotone tallies (pd2gl_serve_*).
-  struct Counters {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* ok = nullptr;
-    obs::Counter* degraded = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* invalid = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* batched_requests = nullptr;
-    obs::Counter* rpc_rounds = nullptr;
-    obs::Counter* virtual_busy_us = nullptr;
-    obs::Counter* slo_windows = nullptr;
-    obs::Counter* slo_violations = nullptr;
-  };
-
   ServeConfig config_;
   // Declared before admission_/batcher_ so the registry outlives every
   // series they register into it.
@@ -224,8 +212,10 @@ class GraphServer {
   AdmissionController admission_;
   RequestBatcher batcher_;
   obs::TraceSink trace_sink_;
-  obs::StatsBinding<ServeStats> binding_;
-  Counters counters_;
+  // The pd2gl_serve_* handles, one per list row.
+  struct {
+    PD2GL_SERVE_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters_;
 
   mutable Mutex mu_;
   std::uint64_t busy_until_us_ GUARDED_BY(mu_) = 0;

@@ -48,7 +48,7 @@ TEST(ShardTest, CountsRequests) {
   Xoshiro256 rng(1);
   std::vector<VertexId> out;
   shard.SampleNeighbors(1, 5, true, rng, &out);
-  EXPECT_EQ(shard.requests_served(), 2u);
+  EXPECT_EQ(shard.wal_seq(), 1u);
   EXPECT_EQ(out.size(), 5u);
 }
 

@@ -1,13 +1,17 @@
 // MetricRegistry / exporter / profiling tests (DESIGN.md §15,
 // docs/observability.md): idempotent registration with normalized labels,
-// race-free sorted snapshots, StatsBinding as the one shared fill loop,
-// cross-registry MergeFrom, the Prometheus/JSON exporters, the
-// compile-away profiling sites, and the end-to-end contract that every
-// subsystem's legacy Stats() struct mirrors its registry series exactly.
+// race-free sorted snapshots, the counter-list expansions as the one shared
+// fill loop, cross-registry MergeFrom, the Prometheus/JSON exporters, the
+// compile-away profiling sites, the end-to-end contract that
+// every row of every subsystem counter list reads the same in its Stats()
+// struct and its registry series, and a golden merged page that pins the
+// export of a fixed workload line for line.
 // Labels: obs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,14 +31,12 @@ namespace platod2gl {
 namespace {
 
 using obs::Counter;
-using obs::Gauge;
 using obs::Label;
 using obs::Labels;
 using obs::MetricKind;
 using obs::MetricPoint;
 using obs::MetricRegistry;
 using obs::RegistrySnapshot;
-using obs::StatsBinding;
 
 // ---------------------------------------------------------------------------
 // Registration semantics.
@@ -81,18 +83,16 @@ TEST(RegistryTest, SnapshotIsSortedAndQueryable) {
   MetricRegistry reg;
   reg.RegisterCounter("pd2gl_b_total")->Add(2);
   reg.RegisterCounter("pd2gl_a_total")->Add(1);
-  reg.RegisterGauge("pd2gl_depth")->Set(9);
   reg.RegisterCounter("pd2gl_a_total", {{"shard", "1"}})->Add(4);
 
   const RegistrySnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.points.size(), 4u);
+  ASSERT_EQ(snap.points.size(), 3u);
   for (std::size_t i = 1; i < snap.points.size(); ++i) {
     EXPECT_LE(snap.points[i - 1].name, snap.points[i].name)
         << "snapshot must sort by name";
   }
   EXPECT_EQ(snap.Value("pd2gl_a_total"), 1u);
   EXPECT_EQ(snap.Value("pd2gl_a_total", {{"shard", "1"}}), 4u);
-  EXPECT_EQ(snap.Value("pd2gl_depth"), 9u);
   EXPECT_EQ(snap.Value("pd2gl_missing"), 0u) << "absent series reads as 0";
   EXPECT_EQ(snap.Find("pd2gl_missing"), nullptr);
 
@@ -132,21 +132,36 @@ TEST(RegistryTest, ExternalSeriesRideTheSameExportPath) {
 }
 
 TEST(RegistryTest, StatsBindingIsTheOneFillLoop) {
+  // The binding between a snapshot struct and its live counters is the
+  // counter list itself: the shared expansions give the struct fields and
+  // the handles, and two local expansions register and fill, exactly as
+  // each subsystem's .cc does.
+#define PD2GL_LOCAL_COUNTERS(X) \
+  X(reads)                      \
+  X(writes)
   struct LocalStats {
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
+    PD2GL_LOCAL_COUNTERS(PD2GL_STATS_FIELD)
   };
+  struct {
+    PD2GL_LOCAL_COUNTERS(PD2GL_COUNTER_HANDLE)
+  } counters;
   MetricRegistry reg;
-  StatsBinding<LocalStats> binding;
-  Counter* reads =
-      reg.BindCounter(&binding, &LocalStats::reads, "pd2gl_local_reads");
-  Counter* writes =
-      reg.BindCounter(&binding, &LocalStats::writes, "pd2gl_local_writes");
-  reads->Add(11);
-  writes->Add(22);
-  const LocalStats s = binding.Read();
+#define PD2GL_REGISTER(name) \
+  counters.name = reg.RegisterCounter("pd2gl_local_" #name);
+  PD2GL_LOCAL_COUNTERS(PD2GL_REGISTER)
+#undef PD2GL_REGISTER
+  counters.reads->Add(11);
+  counters.writes->Add(22);
+  LocalStats s;
+#define PD2GL_FILL(name) s.name = counters.name->Value();
+  PD2GL_LOCAL_COUNTERS(PD2GL_FILL)
+#undef PD2GL_FILL
+#undef PD2GL_LOCAL_COUNTERS
   EXPECT_EQ(s.reads, 11u);
   EXPECT_EQ(s.writes, 22u);
+  const RegistrySnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.Value("pd2gl_local_reads"), s.reads);
+  EXPECT_EQ(snap.Value("pd2gl_local_writes"), s.writes);
 }
 
 // ---------------------------------------------------------------------------
@@ -154,13 +169,14 @@ TEST(RegistryTest, StatsBindingIsTheOneFillLoop) {
 // ---------------------------------------------------------------------------
 
 TEST(RegistryTest, MergeFromSumsMatchesAndAppendsRest) {
+  LatencyHistogram ha, hb;
   MetricRegistry a, b;
   a.RegisterCounter("pd2gl_shared_total")->Add(2);
   b.RegisterCounter("pd2gl_shared_total")->Add(3);
-  a.RegisterHistogram("pd2gl_shared_nanos")->Record(100);
-  b.RegisterHistogram("pd2gl_shared_nanos")->Record(200);
-  a.RegisterGauge("pd2gl_depth")->Set(1);
-  b.RegisterGauge("pd2gl_depth")->Set(8);
+  a.RegisterExternalHistogram("pd2gl_shared_nanos", {}, &ha);
+  b.RegisterExternalHistogram("pd2gl_shared_nanos", {}, &hb);
+  ha.Record(100);
+  hb.Record(200);
   b.RegisterCounter("pd2gl_only_b_total")->Add(7);
 
   RegistrySnapshot merged = a.Snapshot();
@@ -168,7 +184,6 @@ TEST(RegistryTest, MergeFromSumsMatchesAndAppendsRest) {
   EXPECT_EQ(merged.Value("pd2gl_shared_total"), 5u) << "counters sum";
   EXPECT_EQ(merged.Hist("pd2gl_shared_nanos").Count(), 2u)
       << "histogram buckets merge";
-  EXPECT_EQ(merged.Value("pd2gl_depth"), 8u) << "gauges take the other side";
   EXPECT_EQ(merged.Value("pd2gl_only_b_total"), 7u) << "unmatched appended";
 }
 
@@ -177,18 +192,17 @@ TEST(RegistryTest, MergeFromSumsMatchesAndAppendsRest) {
 // ---------------------------------------------------------------------------
 
 TEST(ExportTest, PrometheusTextRendersFamiliesLabelsAndBuckets) {
+  LatencyHistogram lat;
   MetricRegistry reg;
   reg.RegisterCounter("pd2gl_reqs_total", {{"tenant", "3"}})->Add(9);
-  reg.RegisterGauge("pd2gl_queue_depth")->Set(4);
-  reg.RegisterHistogram("pd2gl_lat_nanos")->Record(1500);
+  reg.RegisterExternalHistogram("pd2gl_lat_nanos", {}, &lat);
+  lat.Record(1500);
 
   const std::string text = obs::ToPrometheusText(reg.Snapshot());
   EXPECT_NE(text.find("# TYPE pd2gl_reqs_total counter"), std::string::npos)
       << text;
   EXPECT_NE(text.find("pd2gl_reqs_total{tenant=\"3\"} 9"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("# TYPE pd2gl_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("pd2gl_queue_depth 4"), std::string::npos);
   EXPECT_NE(text.find("# TYPE pd2gl_lat_nanos histogram"), std::string::npos);
   EXPECT_NE(text.find("pd2gl_lat_nanos_bucket{le=\""), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
@@ -196,9 +210,11 @@ TEST(ExportTest, PrometheusTextRendersFamiliesLabelsAndBuckets) {
 }
 
 TEST(ExportTest, JsonCarriesEverySeries) {
+  LatencyHistogram lat;
   MetricRegistry reg;
   reg.RegisterCounter("pd2gl_reqs_total", {{"tenant", "3"}})->Add(9);
-  reg.RegisterHistogram("pd2gl_lat_nanos")->Record(1500);
+  reg.RegisterExternalHistogram("pd2gl_lat_nanos", {}, &lat);
+  lat.Record(1500);
 
   const std::string json = obs::ToJson(reg.Snapshot());
   EXPECT_NE(json.find("\"pd2gl_reqs_total\""), std::string::npos) << json;
@@ -244,7 +260,7 @@ TEST(ProfileTest, SitesAreNamedAndSnapshotExports) {
 }
 
 // ---------------------------------------------------------------------------
-// Subsystem contract: legacy Stats() structs mirror the registry.
+// Subsystem contract: each Stats() struct mirrors its registry series.
 // ---------------------------------------------------------------------------
 
 TEST(SubsystemRegistryTest, ServerStatsMirrorItsRegistry) {
@@ -318,6 +334,46 @@ TEST(SubsystemRegistryTest, ClusterPerShardSeriesAccumulate) {
   EXPECT_GT(shards_hit, 1u) << "32 seeds over 4 shards hit several shards";
 }
 
+TEST(SubsystemRegistryTest, CacheSeriesFollowTheServingStore) {
+  // A crash, a recovery and a failover each replace a shard's store and
+  // with it the sample cache whose tallies the cluster exports. The series
+  // must read the serving store's cache, never the destroyed one.
+  ClusterConfig ccfg;
+  ccfg.num_shards = 2;
+  ccfg.replication.num_replicas = 1;
+  ccfg.shard_config.sample_cache.min_degree = 1;
+  GraphCluster cluster(ccfg);
+  std::vector<VertexId> seeds;
+  for (VertexId v = 0; v < 20; ++v) {
+    seeds.push_back(v);
+    for (VertexId k = 1; k <= 3; ++k) {
+      cluster.Apply({UpdateKind::kInsert, Edge{v, (v + k) % 20, 1.0, 0}});
+    }
+  }
+  const auto expect_series_follow = [&](const char* when) {
+    for (std::uint64_t r = 0; r < 3; ++r) {
+      cluster.SampleNeighbors(seeds, 2, /*weighted=*/true, r);
+    }
+    const RegistrySnapshot snap = cluster.metrics().Snapshot();
+    for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+      EXPECT_EQ(snap.Value("pd2gl_sample_cache_hits",
+                           {{"shard", std::to_string(s)}}),
+                cluster.shard(s).store().sample_cache()->Stats().hits)
+          << when << ", shard " << s;
+    }
+  };
+  expect_series_follow("before any crash");
+  cluster.CrashShard(1);
+  expect_series_follow("while crashed");
+  ASSERT_TRUE(cluster.RecoverShard(1).ok());
+  expect_series_follow("after recovery");
+  cluster.CrashShard(1);
+  cluster.AdvanceVirtualTime(1);
+  cluster.AdvanceVirtualTime(ccfg.replication.suspicion_timeout_us);
+  ASSERT_EQ(cluster.stats().failovers, 1u);
+  expect_series_follow("after failover");
+}
+
 TEST(SubsystemRegistryTest, PipelineSharesOneRegistry) {
   // Ingestor and micro-batcher registered into ONE registry: the whole
   // ingest pipeline exports as a single page.
@@ -347,6 +403,193 @@ TEST(SubsystemRegistryTest, PipelineSharesOneRegistry) {
   EXPECT_EQ(snap.Value("pd2gl_micro_batcher_batches_applied"),
             bs.batches_applied);
   EXPECT_GT(snap.Value("pd2gl_micro_batcher_updates_applied"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden page: the merged export of a fixed workload, line for line.
+// ---------------------------------------------------------------------------
+
+/// A fixed workload that drives every counter-exporting subsystem:
+///  1. a faulty, replicated 2-shard cluster through a batch, a crash, a
+///     hinted-handoff update, a sample with one primary down, recovery,
+///     anti-entropy and more samples;
+///  2. five served two-step plans over that cluster, then an SLO cut;
+///  3. a ten-update ingest pipeline in which five edges arrive twice; its
+///     ingestor and micro-batcher share one registry.
+struct FixedWorkload {
+  static ClusterConfig FaultyReplicatedPair() {
+    ClusterConfig c;
+    c.num_shards = 2;
+    c.replication.num_replicas = 1;
+    c.fault.failure_prob = 0.2;
+    c.fault.corrupt_prob = 0.1;
+    c.shard_config.sample_cache.min_degree = 4;
+    return c;
+  }
+  static serve::ServeConfig TwoPerBatch() {
+    serve::ServeConfig c;
+    c.batcher.max_batch = 2;
+    c.slo_target_p99_us = 100;
+    return c;
+  }
+
+  GraphCluster cluster{FaultyReplicatedPair()};
+  EpochCoordinator epochs;
+  serve::GraphServer server{&cluster, &epochs, TwoPerBatch()};
+  MetricRegistry pipeline_metrics;
+  GraphStore graph;
+  ThreadPool pool{2};
+  EpochCoordinator pipeline_epochs;
+  UpdateIngestor ingestor{IngestorConfig{}, &pipeline_metrics};
+  MicroBatcher micro{&graph,          &pool,
+                     &ingestor,       &pipeline_epochs,
+                     /*log=*/nullptr, MicroBatcherConfig{},
+                     &pipeline_metrics};
+
+  void Run() {
+    std::vector<EdgeUpdate> batch;
+    for (VertexId v = 0; v < 40; ++v) {
+      for (VertexId k = 1; k <= 5; ++k) {
+        batch.push_back({UpdateKind::kInsert,
+                         Edge{v, (v * 7 + k) % 40,
+                              1.0 + static_cast<double>(k), 0}});
+      }
+    }
+    (void)cluster.ApplyBatch(batch);
+    VertexId on_shard1 = 0;
+    while (cluster.partitioner().ShardOf(on_shard1) != 1) ++on_shard1;
+    cluster.CrashShard(1);
+    (void)cluster.Apply({UpdateKind::kInsert, Edge{on_shard1, 39, 2.5, 0}});
+    std::vector<VertexId> seeds(16);
+    for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = i * 2;
+    cluster.SampleNeighbors(seeds, 4, /*weighted=*/true, /*seed=*/11);
+    EXPECT_TRUE(cluster.RecoverShard(1).ok());
+    cluster.RunAntiEntropy();
+    for (std::uint64_t r = 0; r < 3; ++r) {
+      cluster.SampleNeighbors(seeds, 4, /*weighted=*/r != 1, 12 + r);
+    }
+
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      serve::QueryRequest req;
+      req.tenant = static_cast<std::uint32_t>(i % 2);
+      req.request_id = i;
+      req.rng_seed = 100 + i;
+      req.seeds = {i, i + 7};
+      req.plan.Sample(2).Traverse(2);
+      EXPECT_TRUE(server.Submit(req, i * 100).ok());
+      server.Pump(i * 100);
+    }
+    server.Drain(1000);
+    server.EndSloWindow();
+
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      EXPECT_TRUE(
+          ingestor.OfferInsert(i + 1, Edge{i % 5, i % 5 + 1, 1.0, 0}).ok());
+    }
+    micro.Flush();
+  }
+
+  /// All three registries as one page, the way `pd2gl metrics` merges.
+  RegistrySnapshot Page() const {
+    RegistrySnapshot page = server.metrics().Snapshot();
+    page.MergeFrom(cluster.metrics().Snapshot());
+    page.MergeFrom(pipeline_metrics.Snapshot());
+    return page;
+  }
+};
+
+/// The page minus what holds measured time: histogram samples are dropped
+/// (their `# TYPE` lines stay) and the CPU-time counters are masked.
+std::string CounterLines(const std::string& page) {
+  std::istringstream in(page);
+  std::string out;
+  std::string line;
+  bool histogram = false;
+  while (std::getline(in, line)) {
+    if (line.starts_with("# TYPE ")) {
+      histogram = line.ends_with(" histogram");
+    } else if (histogram) {
+      continue;
+    } else if (line.starts_with("pd2gl_replication_replica_apply_nanos ") ||
+               line.starts_with("pd2gl_replication_pump_cpu_nanos ")) {
+      line = line.substr(0, line.find(' ')) + " <cpu-nanos>";
+    }
+    out += line + '\n';
+  }
+  return out;
+}
+
+TEST(ExportTest, SubsystemPagesAreGolden) {
+  FixedWorkload w;
+  w.Run();
+  const std::string path = PD2GL_TEST_DATA_DIR "/obs_golden_page.txt";
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.good()) << "cannot read " << path;
+  std::ostringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(CounterLines(obs::ToPrometheusText(w.Page())), expected.str());
+}
+
+TEST(SubsystemRegistryTest, EveryListRowMirrorsItsSeries) {
+  FixedWorkload w;
+  w.Run();
+  const RegistrySnapshot page = w.Page();
+  const serve::ServeStats serve_stats = w.server.Stats();
+  // Expanded once per counter list: in each block, every row's snapshot
+  // field must equal the series registered as prefix + row name.
+#define PD2GL_EXPECT_ROW(name)                                 \
+  EXPECT_EQ(stats.name, page.Value(prefix + #name, labels)) \
+      << prefix << #name;
+  {
+    const ClusterStats stats = w.cluster.stats();
+    const std::string prefix = "pd2gl_cluster_";
+    const Labels labels;
+    PD2GL_CLUSTER_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+  {
+    const ReplicationStats stats = w.cluster.replication_stats();
+    const std::string prefix = "pd2gl_replication_";
+    const Labels labels;
+    PD2GL_REPLICATION_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+  for (std::size_t shard = 0; shard < w.cluster.num_shards(); ++shard) {
+    const SampleCacheStats stats =
+        w.cluster.shard(shard).store().sample_cache()->Stats();
+    const std::string prefix = "pd2gl_sample_cache_";
+    const Labels labels{{"shard", std::to_string(shard)}};
+    PD2GL_SAMPLE_CACHE_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+  {
+    const serve::ServeStats& stats = serve_stats;
+    const std::string prefix = "pd2gl_serve_";
+    const Labels labels;
+    PD2GL_SERVE_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+  {
+    const serve::AdmissionStats& stats = serve_stats.admission;
+    const std::string prefix = "pd2gl_admission_";
+    const Labels labels;
+    PD2GL_ADMISSION_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+  {
+    const serve::BatcherStats& stats = serve_stats.batcher;
+    const std::string prefix = "pd2gl_batcher_";
+    const Labels labels;
+    PD2GL_BATCHER_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+  {
+    const IngestorStats stats = w.ingestor.Stats();
+    const std::string prefix = "pd2gl_ingest_";
+    const Labels labels;
+    PD2GL_INGEST_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+  {
+    const MicroBatcherStats stats = w.micro.Stats();
+    const std::string prefix = "pd2gl_micro_batcher_";
+    const Labels labels;
+    PD2GL_MICRO_BATCHER_COUNTERS(PD2GL_EXPECT_ROW)
+  }
+#undef PD2GL_EXPECT_ROW
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "concurrency/batch_updater.h"
 #include "core/samtree.h"
+#include "obs/metrics.h"
 #include "sampling/sample_cache.h"
 #include "storage/graph_store.h"
 
@@ -330,6 +331,40 @@ TEST(SampleCacheAdmissionTest, RelationsDoNotAlias) {
     ASSERT_TRUE(g.SampleNeighbors(1, 16, true, rng, &out, 1));
     for (VertexId v : out) EXPECT_GE(v, 500u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Stats window vs. registry series
+// ---------------------------------------------------------------------------
+
+TEST(SampleCacheStatsTest, ResetOpensAWindowWhileSeriesKeepCounting) {
+  GraphStore g(EagerCacheConfig());
+  obs::MetricRegistry reg;
+  g.sample_cache()->RegisterWith(&reg, {});
+  for (VertexId d = 0; d < 16; ++d) {
+    g.AddEdge({1, 100 + d, 1.0, 0});
+    g.AddEdge({2, 200 + d, 1.0, 0});
+  }
+  Xoshiro256 rng(111);
+  std::vector<VertexId> out;
+  g.SampleNeighbors(1, 4, true, rng, &out, 0);  // miss, admitted
+  g.SampleNeighbors(1, 4, true, rng, &out, 0);  // hit
+  g.sample_cache()->ResetStats();
+  EXPECT_EQ(g.sample_cache()->Stats().hits, 0u);
+  EXPECT_EQ(g.sample_cache()->Stats().misses, 0u);
+
+  g.SampleNeighbors(2, 4, true, rng, &out, 0);  // miss, admitted
+  for (int i = 0; i < 3; ++i) g.SampleNeighbors(1, 4, true, rng, &out, 0);
+  const SampleCacheStats window = g.sample_cache()->Stats();
+  EXPECT_EQ(window.hits, 3u);
+  EXPECT_EQ(window.misses, 1u);
+  EXPECT_EQ(window.admissions, 1u);
+
+  // The exported series count from construction: a reset never moves them.
+  const obs::RegistrySnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.Value("pd2gl_sample_cache_hits"), 4u);
+  EXPECT_EQ(snap.Value("pd2gl_sample_cache_misses"), 2u);
+  EXPECT_EQ(snap.Value("pd2gl_sample_cache_admissions"), 2u);
 }
 
 }  // namespace

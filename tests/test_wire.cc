@@ -58,6 +58,22 @@ TEST(WireTest, SampleResponseBytesMatchesEncoder) {
   }
 }
 
+TEST(WireTest, RequestSizeHelpersMatchEncoders) {
+  // The cluster sizes the requests it sends with these helpers instead of
+  // encoding them; they must agree with the encoders byte for byte.
+  for (std::size_t n : {0, 1, 7}) {
+    wire::SampleRequest req;
+    req.seeds.assign(n, 42);
+    EXPECT_EQ(wire::SampleRequestBytes(n),
+              wire::EncodeSampleRequest(req).size())
+        << n << " seeds";
+    const std::vector<EdgeUpdate> batch(
+        n, {UpdateKind::kInsert, Edge{1, 2, 1.0, 0}});
+    EXPECT_EQ(wire::UpdateBatchBytes(n), wire::EncodeUpdateBatch(batch).size())
+        << n << " updates";
+  }
+}
+
 TEST(WireTest, UpdateBatchRoundTrip) {
   std::vector<EdgeUpdate> batch = {
       {UpdateKind::kInsert, Edge{1, 2, 0.5, 0}},

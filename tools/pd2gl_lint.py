@@ -34,11 +34,12 @@ compiler nor clang-tidy enforces:
   atomic-tally      a raw std::atomic / sched::Atomic integer *member*
                     in src/ whose name reads as an event tally (hits,
                     rejects, rounds, ...). Monotone statistics belong in
-                    obs::MetricRegistry counters (src/obs/metrics.h) so
-                    they are named, exportable, and covered by the shared
-                    StatsBinding fill loop; raw atomics are for STATE
-                    (watermarks, depths, closed flags, snapshots), which
-                    the name list deliberately does not match.
+                    obs::MetricRegistry counters (src/obs/metrics.h),
+                    declared once as a row of the subsystem's counter list
+                    so they are named, exported and snapshotted; raw
+                    atomics are for STATE (watermarks, depths, closed
+                    flags, snapshots), which the name list deliberately
+                    does not match. src/obs/ itself is not checked.
   exact-reserve     a data member reserving exactly its own size plus an
                     increment (`x_.reserve(x_.size() + n)`). A container
                     that keeps growing by small appends then reallocates,
@@ -81,14 +82,6 @@ EXEMPT = {
     },
     "raw-lock-guard": {
         "src/schedcheck/sched.cc",  # same reason as unguarded-mutex
-    },
-    "atomic-tally": {
-        # The registry's own Counter/Gauge internals.
-        "src/obs/metrics.h",
-        # Shard-local served-request tally predating the cluster registry;
-        # the cluster exports the per-shard pd2gl_shard_* series, and
-        # GraphShard deliberately has no registry dependency.
-        "src/dist/shard.h",
     },
 }
 
