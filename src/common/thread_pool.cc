@@ -21,74 +21,49 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::ParallelFor(std::size_t n,
+                             const std::function<void(std::size_t)>& fn,
+                             std::size_t grain) {
+  if (n == 0) return;
+  if (grain == 0) {
+    const std::size_t blocks = std::min(n, num_threads());
+    grain = (n + blocks - 1) / blocks;
+  }
+  Call call;
+  {
+    MutexLock call_lock(call.mu);
+    call.pending = (n + grain - 1) / grain;
+  }
   {
     MutexLock lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+    for (std::size_t begin = 0; begin < n; begin += grain) {
+      blocks_.push(Block{&fn, begin, std::min(n, begin + grain), &call});
+    }
   }
-  task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mu_);
+  task_cv_.notify_all();
+  MutexLock call_lock(call.mu);
   // while-loop form instead of a predicate lambda: the guarded read of
-  // in_flight_ stays inside this function's capability scope, so the
+  // pending stays inside this function's capability scope, so the
   // thread-safety analysis can check it (a lambda body would need its own
   // annotation).
-  while (in_flight_ != 0) done_cv_.wait(mu_);
-}
-
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t shards = std::min(n, num_threads());
-  const std::size_t chunk = (n + shards - 1) / shards;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t begin = s * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    Submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-  Wait();
-}
-
-void ThreadPool::ParallelForBlocked(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  if (grain >= n) {
-    // One block: skip the queue round-trip entirely.
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    const std::size_t end = std::min(n, begin + grain);
-    Submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-  Wait();
+  while (call.pending != 0) call.done_cv.wait(call.mu);
 }
 
 void ThreadPool::WorkerLoop() {
   while (true) {
-    std::function<void()> task;
+    Block block{};
     {
       MutexLock lock(mu_);
-      while (!stop_ && tasks_.empty()) task_cv_.wait(mu_);
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      while (!stop_ && blocks_.empty()) task_cv_.wait(mu_);
+      if (stop_ && blocks_.empty()) return;
+      block = blocks_.front();
+      blocks_.pop();
     }
-    task();
-    {
-      MutexLock lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
+    for (std::size_t i = block.begin; i < block.end; ++i) (*block.fn)(i);
+    // Notify under the call's lock: the caller cannot see pending reach 0,
+    // return and destroy `call` until this unlock.
+    MutexLock call_lock(block.call->mu);
+    if (--block.call->pending == 0) block.call->done_cv.notify_all();
   }
 }
 

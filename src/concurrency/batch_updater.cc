@@ -1,7 +1,6 @@
 #include "concurrency/batch_updater.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,50 +42,39 @@ void BatchUpdater::ApplyBatch(std::vector<EdgeUpdate> batch) {
   group_starts.push_back(order.size());
   const std::size_t num_groups = group_starts.size() - 1;
 
-  // Phase 2 — each thread owns a dynamic range of source groups; a
+  // Phase 2 — source groups spread over the pool in blocks of `grain`
+  // groups (~4 per worker, so the queue rebalances uneven groups); a
   // samtree is looked up (and created if new) once per group under its
   // map-shard lock, then the whole group is applied to it with no
   // per-update latching at all — two threads never touch the same tree.
-  std::atomic<std::size_t> next_group{0};
-  const std::size_t num_workers = pool_->num_threads();
-  const std::size_t stride =
-      std::max<std::size_t>(1, num_groups / (num_workers * 4));
-  for (std::size_t wkr = 0; wkr < num_workers; ++wkr) {
-    pool_->Submit([&] {
-      while (true) {
-        const std::size_t begin =
-            // order: ticket draw only; group results are published by the join, not this counter
-            next_group.fetch_add(stride, std::memory_order_relaxed);
-        if (begin >= num_groups) return;
-        const std::size_t end = std::min(num_groups, begin + stride);
-        for (std::size_t g = begin; g < end; ++g) {
-          // The only synchronisation is the shard-locked lookup; the tree
-          // itself is owned by this thread for the whole group.
-          Samtree* tree = store_->GetOrCreateTree(
-              batch[order[group_starts[g]]].edge.src);
-          for (std::size_t i = group_starts[g]; i < group_starts[g + 1];
-               ++i) {
-            const EdgeUpdate& u = batch[order[i]];
-            switch (u.kind) {
-              case UpdateKind::kInsert: {
-                const std::size_t before = tree->size();
-                tree->Insert(u.edge.dst, u.edge.weight);
-                if (tree->size() != before) store_->NoteEdgeInserted();
-                break;
-              }
-              case UpdateKind::kInPlaceUpdate:
-                tree->Update(u.edge.dst, u.edge.weight);
-                break;
-              case UpdateKind::kDelete:
-                if (tree->Remove(u.edge.dst)) store_->NoteEdgeRemoved();
-                break;
+  const std::size_t grain =
+      std::max<std::size_t>(1, num_groups / (pool_->num_threads() * 4));
+  pool_->ParallelFor(
+      num_groups,
+      [&](std::size_t g) {
+        // The only synchronisation is the shard-locked lookup; the tree
+        // itself is owned by this thread for the whole group.
+        Samtree* tree =
+            store_->GetOrCreateTree(batch[order[group_starts[g]]].edge.src);
+        for (std::size_t i = group_starts[g]; i < group_starts[g + 1]; ++i) {
+          const EdgeUpdate& u = batch[order[i]];
+          switch (u.kind) {
+            case UpdateKind::kInsert: {
+              const std::size_t before = tree->size();
+              tree->Insert(u.edge.dst, u.edge.weight);
+              if (tree->size() != before) store_->NoteEdgeInserted();
+              break;
             }
+            case UpdateKind::kInPlaceUpdate:
+              tree->Update(u.edge.dst, u.edge.weight);
+              break;
+            case UpdateKind::kDelete:
+              if (tree->Remove(u.edge.dst)) store_->NoteEdgeRemoved();
+              break;
           }
         }
-      }
-    });
-  }
-  pool_->Wait();
+      },
+      grain);
   MaybeVerifyStore();
 }
 
@@ -97,8 +85,8 @@ void BatchUpdater::ApplyBatchLatchBased(const std::vector<EdgeUpdate>& batch) {
   // expensive updates (deep trees, splits).
   const std::size_t grain = std::max<std::size_t>(
       16, batch.size() / (pool_->num_threads() * 8));
-  pool_->ParallelForBlocked(batch.size(), grain,
-                            [&](std::size_t i) { store_->Apply(batch[i]); });
+  pool_->ParallelFor(
+      batch.size(), [&](std::size_t i) { store_->Apply(batch[i]); }, grain);
   MaybeVerifyStore();
 }
 

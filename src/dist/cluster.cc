@@ -17,6 +17,13 @@ namespace {
 /// Retries re-derive the same stream, so fault runs sample identically to
 /// fault-free runs (tested in test_fault_tolerance.cc).
 constexpr std::uint64_t kShardSeedSalt = 0xD1B54A32D192ED03ULL;
+
+/// The value array of a flat reply: neighbour ids or feature values.
+std::vector<VertexId>& Values(NeighborBatch& b) { return b.neighbors; }
+std::vector<float>& Values(wire::FeatureBatch& b) { return b.values; }
+
+/// Fallback of a round without replica reads: the shard's ids degrade.
+constexpr auto kNoFallback = [](auto&&...) { return false; };
 }  // namespace
 
 GraphCluster::GraphCluster(ClusterConfig config)
@@ -232,24 +239,6 @@ void GraphCluster::MergeOutcome(const RpcOutcome& out) {
   if (out.deadline_hit) counters_.deadline_hits->Add();
 }
 
-Status GraphCluster::Apply(const EdgeUpdate& update) {
-  const std::size_t s = partitioner_.ShardOf(update.edge.src);
-  const bool handoff = injector_.IsCrashed(s);
-  const RpcOutcome out = DeliverUpdates(s, {update});
-  MergeOutcome(out);
-  counters_.bytes_sent->Add(out.attempts * wire::UpdateBatchBytes(1));
-  counters_.bytes_received->Add(out.resp_bytes);
-  if (handoff) counters_.wal_handoffs->Add();
-  PumpReplication();
-  if (!out.delivered) {
-    counters_.lost_updates->Add();
-    return Status::DeadlineExceeded("update lost: shard " +
-                                    std::to_string(s) +
-                                    " unreachable past the retry budget");
-  }
-  return Status::Ok();
-}
-
 Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
   std::vector<std::vector<EdgeUpdate>> per_shard(shards_.size());
   for (const EdgeUpdate& u : batch) {
@@ -285,16 +274,17 @@ Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
   return result;
 }
 
-template <typename Fill, typename Fallback>
-MultiSampleReport GraphCluster::NeighborRound(
-    const std::vector<const std::vector<VertexId>*>& item_seeds,
-    const std::vector<std::size_t>& draws_per_seed, Fill&& fill,
-    Fallback&& fallback) {
-  MultiSampleReport multi;
-  multi.reports.resize(item_seeds.size());
-  if (item_seeds.empty()) return multi;
+template <typename Batch, typename Fill, typename Fallback>
+MultiRangeReport<Batch> GraphCluster::ShardRound(
+    const std::vector<const std::vector<VertexId>*>& item_ids,
+    const std::vector<std::size_t>& values_per_id,
+    const std::vector<obs::Counter*>& shard_load, obs::Counter* degraded,
+    Fill&& fill, Fallback&& fallback) {
+  MultiRangeReport<Batch> multi;
+  multi.reports.resize(item_ids.size());
+  if (item_ids.empty()) return multi;
 
-  // Group each item's seed positions by owning shard:
+  // Group each item's id positions by owning shard:
   // shard_groups[s] = [(item, first range, positions-in-item), ...] in
   // item order, i.e. the order of the ranges in shard s's response.
   struct ShardGroup {
@@ -304,24 +294,24 @@ MultiSampleReport GraphCluster::NeighborRound(
   };
   std::vector<std::vector<ShardGroup>> shard_groups(shards_.size());
   std::vector<std::size_t> shard_ranges(shards_.size(), 0);
-  std::vector<std::size_t> shard_draws(shards_.size(), 0);
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    const std::vector<VertexId>& seeds = *item_seeds[w];
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      const std::size_t s = partitioner_.ShardOf(seeds[i]);
+  std::vector<std::size_t> shard_values(shards_.size(), 0);
+  for (std::size_t w = 0; w < item_ids.size(); ++w) {
+    const std::vector<VertexId>& ids = *item_ids[w];
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::size_t s = partitioner_.ShardOf(ids[i]);
       std::vector<ShardGroup>& groups = shard_groups[s];
       if (groups.empty() || groups.back().item != w) {
         groups.push_back(ShardGroup{w, shard_ranges[s], {}});
       }
       groups.back().positions.push_back(i);
       ++shard_ranges[s];
-      shard_draws[s] += draws_per_seed[w];
+      shard_values[s] += values_per_id[w];
     }
   }
 
   // One parallel logical RPC (with retries) per touched shard, carrying
-  // every item's seeds for that shard and answered by one flat response.
-  std::vector<NeighborBatch> responses(shards_.size());
+  // every item's ids for that shard and answered by one flat response.
+  std::vector<Batch> responses(shards_.size());
   std::vector<RpcOutcome> outcomes(shards_.size());
   pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
     const std::vector<ShardGroup>& groups = shard_groups[s];
@@ -332,10 +322,10 @@ MultiSampleReport GraphCluster::NeighborRound(
       // re-derives any RNG state per item per attempt, so a retry replays
       // the exact draw sequence and batching never perturbs an item's
       // stream.
-      NeighborBatch resp;
+      Batch resp;
       resp.offsets.reserve(shard_ranges[s] + 1);
       resp.offsets.push_back(0);
-      resp.neighbors.reserve(shard_draws[s]);
+      Values(resp).reserve(shard_values[s]);
       for (const ShardGroup& grp : groups) {
         fill(s, grp.item, grp.positions, &resp);
       }
@@ -346,9 +336,9 @@ MultiSampleReport GraphCluster::NeighborRound(
         std::string bytes = wire::EncodeSampleResponse(resp);
         out.resp_bytes += bytes.size();  // shipped before the damage
         injector_.CorruptBytes(s, &bytes);
-        NeighborBatch decoded;
+        Batch decoded;
         if (!wire::DecodeSampleResponse(bytes, &decoded) ||
-            decoded.NumSeeds() != shard_ranges[s]) {
+            decoded.offsets.size() != shard_ranges[s] + 1) {
           return false;  // rejected by the codec; RunRpc retries
         }
         // Structurally valid despite the damage — accept what decoded.
@@ -363,9 +353,8 @@ MultiSampleReport GraphCluster::NeighborRound(
     });
   });
 
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    multi.reports[w].seed_status.assign(item_seeds[w]->size(),
-                                        SeedStatus::kOk);
+  for (std::size_t w = 0; w < item_ids.size(); ++w) {
+    multi.reports[w].seed_status.assign(item_ids[w]->size(), SeedStatus::kOk);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::vector<ShardGroup>& groups = shard_groups[s];
@@ -378,22 +367,22 @@ MultiSampleReport GraphCluster::NeighborRound(
       request_bytes += wire::SampleRequestBytes(grp.positions.size());
     }
     counters_.bytes_sent->Add(out.attempts * request_bytes);
-    shard_seed_counters_[s]->Add(shard_ranges[s]);
+    shard_load[s]->Add(shard_ranges[s]);
     counters_.bytes_received->Add(out.resp_bytes);
     // The round's virtual wall time is the slowest of the parallel RPCs.
     multi.round_virtual_us = std::max(multi.round_virtual_us, out.virtual_us);
     if (!out.delivered) {
       // Stand in for the lost response in the same layout: replica ranges
       // where a replica serves, flagged empty ranges where none does.
-      NeighborBatch& resp = responses[s];
+      Batch& resp = responses[s];
       resp.offsets.reserve(shard_ranges[s] + 1);
       resp.offsets.push_back(0);
-      resp.neighbors.reserve(shard_draws[s]);
+      Values(resp).reserve(shard_values[s]);
       for (const ShardGroup& grp : groups) {
-        SampleReport& report = multi.reports[grp.item];
+        RangeReport<Batch>& report = multi.reports[grp.item];
         if (fallback(s, grp.item, grp.positions, &resp, &report)) continue;
         resp.offsets.insert(resp.offsets.end(), grp.positions.size(),
-                            resp.neighbors.size());
+                            Values(resp).size());
         for (std::size_t pos : grp.positions) {
           report.seed_status[pos] = SeedStatus::kDegraded;
         }
@@ -401,19 +390,21 @@ MultiSampleReport GraphCluster::NeighborRound(
       }
     }
   }
-  for (const SampleReport& r : multi.reports) {
-    counters_.degraded_seeds->Add(r.degraded_seeds);
+  if (degraded != nullptr) {
+    for (const RangeReport<Batch>& r : multi.reports) {
+      degraded->Add(r.degraded_seeds);
+    }
   }
-  // Sampling ships nothing new, but its virtual-time cost does age
+  // Reads ship nothing new, but their virtual-time cost does age
   // suspicions — the health monitor runs so a dead primary eventually
   // fails over under a read-only workload too.
   ReplicationHealthCheck();
 
-  // Scatter the shard responses into each item's batch in seed order:
+  // Scatter the shard responses into each item's batch in id order:
   // size every range, prefix-sum the offsets, then copy the ranges into
   // one allocation per item.
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    multi.reports[w].batch.offsets.assign(item_seeds[w]->size() + 1, 0);
+  for (std::size_t w = 0; w < item_ids.size(); ++w) {
+    multi.reports[w].batch.offsets.assign(item_ids[w]->size() + 1, 0);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::vector<std::size_t>& from = responses[s].offsets;
@@ -425,20 +416,20 @@ MultiSampleReport GraphCluster::NeighborRound(
       }
     }
   }
-  for (SampleReport& report : multi.reports) {
+  for (RangeReport<Batch>& report : multi.reports) {
     std::vector<std::size_t>& offsets = report.batch.offsets;
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-    report.batch.neighbors.resize(offsets.back());
+    Values(report.batch).resize(offsets.back());
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const NeighborBatch& resp = responses[s];
+    Batch& resp = responses[s];
     for (const ShardGroup& grp : shard_groups[s]) {
-      NeighborBatch& batch = multi.reports[grp.item].batch;
+      Batch& batch = multi.reports[grp.item].batch;
       for (std::size_t k = 0; k < grp.positions.size(); ++k) {
         const std::size_t r = grp.first_range + k;
-        std::copy(resp.neighbors.data() + resp.offsets[r],
-                  resp.neighbors.data() + resp.offsets[r + 1],
-                  batch.neighbors.data() + batch.offsets[grp.positions[k]]);
+        std::copy(Values(resp).data() + resp.offsets[r],
+                  Values(resp).data() + resp.offsets[r + 1],
+                  Values(batch).data() + batch.offsets[grp.positions[k]]);
       }
     }
   }
@@ -455,8 +446,9 @@ MultiSampleReport GraphCluster::SampleMany(
     item_seeds.push_back(w.seeds);
     draws_per_seed.push_back(w.fanout);
   }
-  return NeighborRound(
-      item_seeds, draws_per_seed,
+  return ShardRound<NeighborBatch>(
+      item_seeds, draws_per_seed, shard_seed_counters_,
+      counters_.degraded_seeds,
       [&](std::size_t s, std::size_t item,
           const std::vector<std::size_t>& positions, NeighborBatch* resp) {
         const SampleWorkItem& w = work[item];
@@ -522,8 +514,11 @@ MultiSampleReport GraphCluster::TraverseMany(
   // A range holds min(cap, degree) ids: the cap bounds it, but reserving
   // it would over-allocate for every low-degree seed, so grow instead.
   const std::vector<std::size_t> draws_per_seed(work.size(), 0);
-  return NeighborRound(
-      item_seeds, draws_per_seed,
+  // No replica fallback for traversal: degraded frontiers must stay
+  // visible to the serving layer's SLO accounting.
+  return ShardRound<NeighborBatch>(
+      item_seeds, draws_per_seed, shard_seed_counters_,
+      counters_.degraded_seeds,
       [&](std::size_t s, std::size_t item,
           const std::vector<std::size_t>& positions, NeighborBatch* resp) {
         const TraverseWorkItem& w = work[item];
@@ -533,119 +528,55 @@ MultiSampleReport GraphCluster::TraverseMany(
           resp->offsets.push_back(resp->neighbors.size());
         }
       },
-      [](std::size_t, std::size_t, const std::vector<std::size_t>&,
-         NeighborBatch*, SampleReport*) {
-        // No replica fallback for traversal: degraded frontiers must stay
-        // visible to the serving layer's SLO accounting.
-        return false;
-      });
+      kNoFallback);
 }
 
 MultiGatherReport GraphCluster::GatherMany(
     const std::vector<GatherWorkItem>& work) {
+  std::vector<const std::vector<VertexId>*> item_ids;
+  item_ids.reserve(work.size());
+  for (const GatherWorkItem& w : work) item_ids.push_back(w.ids);
+  // Row widths are unknown until served: grow the reply instead.
+  const std::vector<std::size_t> values_per_id(work.size(), 0);
+  // Gather rounds count their ids per shard apart from sampled seeds, and
+  // their degraded rows only in the reports (not in degraded_seeds).
+  MultiRangeReport<wire::FeatureBatch> rows = ShardRound<wire::FeatureBatch>(
+      item_ids, values_per_id, shard_gather_counters_, /*degraded=*/nullptr,
+      [&](std::size_t s, std::size_t item,
+          const std::vector<std::size_t>& positions,
+          wire::FeatureBatch* resp) {
+        for (std::size_t pos : positions) {
+          shards_[s]->GatherFeatures((*work[item].ids)[pos], &resp->values);
+          resp->offsets.push_back(resp->values.size());
+        }
+      },
+      kNoFallback);
+
+  // Dense [ids x dim] assembly; dim = widest row delivered this round,
+  // shorter or absent rows are zero-padded.
   MultiGatherReport multi;
-  multi.reports.resize(work.size());
-  if (work.empty()) return multi;
-
-  struct ShardGroup {
-    std::size_t item;
-    std::vector<std::size_t> positions;
-  };
-  std::vector<std::vector<ShardGroup>> shard_groups(shards_.size());
-  for (std::size_t w = 0; w < work.size(); ++w) {
-    const std::vector<VertexId>& ids = *work[w].ids;
-    std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      by_shard[partitioner_.ShardOf(ids[i])].push_back(i);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!by_shard[s].empty()) {
-        shard_groups[s].push_back(ShardGroup{w, std::move(by_shard[s])});
-      }
-    }
-  }
-
-  // rows[w][i] = feature vector for (*work[w].ids)[i] (empty = zero row).
-  std::vector<std::vector<std::vector<float>>> rows(work.size());
-  for (std::size_t w = 0; w < work.size(); ++w) {
-    rows[w].resize(work[w].ids->size());
-  }
-  std::vector<RpcOutcome> outcomes(shards_.size());
-  pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
-    const std::vector<ShardGroup>& groups = shard_groups[s];
-    if (groups.empty()) return;
-    outcomes[s] = RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
-      if (corrupt) {
-        // A damaged feature payload fails its checksum; modelled as a
-        // rejected response so RunRpc retries (same stance as update acks).
-        return false;
-      }
-      Timer rpc;
-      std::uint64_t resp = 0;
-      std::vector<float> row;
-      for (const ShardGroup& grp : groups) {
-        const std::vector<VertexId>& ids = *work[grp.item].ids;
-        resp += 5;
-        for (std::size_t pos : grp.positions) {
-          shards_[s]->GatherFeatures(ids[pos], &row);
-          resp += 4 + row.size() * sizeof(float);
-          rows[grp.item][pos] = row;
-        }
-      }
-      rpc_latency_.RecordMicros(rpc.ElapsedMicros());
-      out.resp_bytes += resp;
-      return true;
-    });
-  });
-
-  for (std::size_t w = 0; w < work.size(); ++w) {
-    multi.reports[w].row_status.assign(work[w].ids->size(), SeedStatus::kOk);
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<ShardGroup>& groups = shard_groups[s];
-    if (groups.empty()) continue;
-    const RpcOutcome& out = outcomes[s];
-    MergeOutcome(out);
-    // Gather requests are sized like SampleRequests over their ids.
-    std::size_t shard_ids = 0;
-    std::size_t request_bytes = 0;
-    for (const ShardGroup& grp : groups) {
-      shard_ids += grp.positions.size();
-      request_bytes += wire::SampleRequestBytes(grp.positions.size());
-    }
-    counters_.bytes_sent->Add(out.attempts * request_bytes);
-    shard_gather_counters_[s]->Add(shard_ids);
-    counters_.bytes_received->Add(out.resp_bytes);
-    multi.round_virtual_us = std::max(multi.round_virtual_us, out.virtual_us);
-    if (!out.delivered) {
-      for (const ShardGroup& grp : groups) {
-        GatherReport& report = multi.reports[grp.item];
-        for (std::size_t pos : grp.positions) {
-          rows[grp.item][pos].clear();
-          report.row_status[pos] = SeedStatus::kDegraded;
-        }
-        report.degraded_rows += grp.positions.size();
-      }
-    }
-  }
-  ReplicationHealthCheck();
-
-  // Dense [ids x dim] assembly; dim = widest row seen this round, shorter
-  // or absent rows are zero-padded.
+  multi.round_virtual_us = rows.round_virtual_us;
   std::size_t dim = 0;
-  for (const auto& item_rows : rows) {
-    for (const auto& r : item_rows) dim = std::max(dim, r.size());
+  for (const RangeReport<wire::FeatureBatch>& r : rows.reports) {
+    const std::vector<std::size_t>& offsets = r.batch.offsets;
+    for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+      dim = std::max(dim, offsets[i + 1] - offsets[i]);
+    }
   }
   multi.dim = static_cast<std::uint32_t>(dim);
-  for (std::size_t w = 0; w < work.size(); ++w) {
+  multi.reports.resize(rows.reports.size());
+  for (std::size_t w = 0; w < rows.reports.size(); ++w) {
+    RangeReport<wire::FeatureBatch>& r = rows.reports[w];
+    const std::vector<std::size_t>& offsets = r.batch.offsets;
     GatherReport& report = multi.reports[w];
-    report.features.assign(rows[w].size() * dim, 0.0f);
-    for (std::size_t i = 0; i < rows[w].size(); ++i) {
-      const std::vector<float>& r = rows[w][i];
-      std::copy(r.begin(), r.end(),
-                report.features.begin() +
-                    static_cast<std::ptrdiff_t>(i * dim));
+    report.features.assign((offsets.size() - 1) * dim, 0.0f);
+    for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+      std::copy(r.batch.values.data() + offsets[i],
+                r.batch.values.data() + offsets[i + 1],
+                report.features.data() + i * dim);
     }
+    report.row_status = std::move(r.seed_status);
+    report.degraded_rows = r.degraded_seeds;
   }
   return multi;
 }

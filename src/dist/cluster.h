@@ -113,16 +113,21 @@ struct ClusterStats {
   PD2GL_CLUSTER_COUNTERS(PD2GL_STATS_FIELD)
 };
 
-/// Batched sampling result plus per-seed delivery status: `batch` always
-/// has one (possibly empty) range per seed, `seed_status[i]` says whether
-/// seed i's range is authoritative or a degraded empty marker.
-struct SampleReport {
-  NeighborBatch batch;
-  std::vector<SeedStatus> seed_status;  // size = #seeds
+/// One item's result of a batched round plus per-id delivery status:
+/// `batch` always has one (possibly empty) range per input id, and
+/// `seed_status[i]` says whether id i's range is authoritative or a
+/// degraded empty marker. Sampling and traversal rounds return neighbour
+/// ranges (SampleReport); the gather round densifies feature rows into a
+/// GatherReport.
+template <typename Batch>
+struct RangeReport {
+  Batch batch;
+  std::vector<SeedStatus> seed_status;  // size = #ids
   std::uint64_t degraded_seeds = 0;
 
   bool complete() const { return degraded_seeds == 0; }
 };
+using SampleReport = RangeReport<NeighborBatch>;
 
 /// One request's sampling work inside a cross-request batched round
 /// (src/serve): its own seeds, fanout, and RNG seed. The round ships ONE
@@ -155,10 +160,12 @@ struct GatherWorkItem {
 /// round's virtual wall time — the max across the per-shard RPCs, since
 /// they fan out in parallel (vs. stats().virtual_network_us, which sums
 /// every RPC's cost).
-struct MultiSampleReport {
-  std::vector<SampleReport> reports;
+template <typename Batch>
+struct MultiRangeReport {
+  std::vector<RangeReport<Batch>> reports;
   std::uint64_t round_virtual_us = 0;
 };
+using MultiSampleReport = MultiRangeReport<NeighborBatch>;
 
 /// Per-item gather result: dense row-major rows over this item's ids
 /// (missing vertices get zero rows, flagged in `row_status`).
@@ -178,10 +185,10 @@ class GraphCluster {
  public:
   explicit GraphCluster(ClusterConfig config = {});
 
-  /// Route one update to its owning shard (same retry/handoff semantics
-  /// as ApplyBatch). Non-OK only if the update could not be delivered or
-  /// durably logged within the retry budget.
-  Status Apply(const EdgeUpdate& update);
+  /// ApplyBatch({update}): route one update to its owning shard. Non-OK
+  /// only if it could not be delivered or durably logged within the retry
+  /// budget.
+  Status Apply(const EdgeUpdate& update) { return ApplyBatch({update}); }
 
   /// Apply a batch: updates are grouped per shard and shipped as one RPC
   /// per non-empty shard, executed in parallel. Updates owned by a crashed
@@ -335,21 +342,25 @@ class GraphCluster {
   template <typename Body>
   RpcOutcome RunRpc(std::size_t s, Body&& body);
 
-  /// Shared engine for neighbour-shaped cross-request rounds (SampleMany /
-  /// TraverseMany): groups every item's seeds by shard, ships one RPC per
-  /// touched shard via RunRpc, and scatters each shard's response into
-  /// per-item SampleReports in seed order. A shard's response is ONE flat
-  /// NeighborBatch — the SampleResponse wire layout — with one range per
-  /// (item, position), items in order. `fill(s, item, positions, resp)`
-  /// appends one item group's ranges for one attempt; `fallback(s, item,
-  /// positions, resp, report)` may append them from a replica instead when
-  /// the shard failed, returning whether it did. `draws_per_seed[item]`
-  /// sizes the response buffer (0 = unknown, grow as needed).
-  template <typename Fill, typename Fallback>
-  MultiSampleReport NeighborRound(
-      const std::vector<const std::vector<VertexId>*>& item_seeds,
-      const std::vector<std::size_t>& draws_per_seed, Fill&& fill,
-      Fallback&& fallback);
+  /// The one engine behind every read round (SampleMany, TraverseMany,
+  /// GatherMany): groups every item's ids by shard, ships one RPC per
+  /// touched shard via RunRpc, and scatters each shard's reply into
+  /// per-item RangeReports in id order. A shard's reply is ONE flat Batch
+  /// — the SampleResponse wire layout over ids (NeighborBatch) or feature
+  /// values (wire::FeatureBatch) — with one range per (item, position),
+  /// items in order; a damaged reply is encoded, damaged and judged by the
+  /// hardened decoder. `fill(s, item, positions, resp)` appends one item
+  /// group's ranges for one attempt; `fallback(s, item, positions, resp,
+  /// report)` may append them from a replica instead when the shard
+  /// failed, returning whether it did. `values_per_id[item]` sizes the
+  /// reply buffer (0 = unknown, grow as needed). Each shard's routed ids
+  /// count into `shard_load[s]`, degraded ids into `degraded` (if set).
+  template <typename Batch, typename Fill, typename Fallback>
+  MultiRangeReport<Batch> ShardRound(
+      const std::vector<const std::vector<VertexId>*>& item_ids,
+      const std::vector<std::size_t>& values_per_id,
+      const std::vector<obs::Counter*>& shard_load, obs::Counter* degraded,
+      Fill&& fill, Fallback&& fallback);
 
   /// Update delivery to one shard (crash handoff / retry loop). Pure
   /// w.r.t. stats_; the caller merges the outcome serially.

@@ -40,19 +40,11 @@ bool GraphShard::Traverse(VertexId src, std::size_t cap,
   return true;
 }
 
-bool GraphShard::GatherFeatures(VertexId v, std::vector<float>* out,
-                                bool* served) const {
-  if (crashed()) {
-    if (served != nullptr) *served = false;
-    return false;
-  }
-  if (served != nullptr) *served = true;
+bool GraphShard::GatherFeatures(VertexId v, std::vector<float>* out) const {
+  if (crashed()) return false;
   const std::vector<float>* f = store_->attributes().GetFeatures(v);
-  if (f == nullptr) {
-    out->clear();
-    return false;
-  }
-  *out = *f;
+  if (f == nullptr) return false;
+  out->insert(out->end(), f->begin(), f->end());
   return true;
 }
 

@@ -66,12 +66,11 @@ class GraphShard {
   bool Traverse(VertexId src, std::size_t cap, std::vector<VertexId>* out,
                 EdgeType type = 0) const;
 
-  /// Serve an attribute gather: copy v's feature vector into `out`
-  /// (cleared when absent), returning whether the vertex had features.
-  /// `served` distinguishes "no features" from "shard crashed": it is set
-  /// false without touching `out` while crashed.
-  bool GatherFeatures(VertexId v, std::vector<float>* out,
-                      bool* served = nullptr) const;
+  /// Serve an attribute gather: append v's feature vector to `out` (one
+  /// row of a gather reply; nothing when v has no features), returning
+  /// whether it had any. Returns false without touching `out` while
+  /// crashed.
+  bool GatherFeatures(VertexId v, std::vector<float>* out) const;
 
   // --- Fault-tolerance lifecycle -----------------------------------------
 

@@ -48,6 +48,67 @@ bool GetUpdate(const std::string& in, std::size_t* pos, EdgeUpdate* u) {
   return true;
 }
 
+/// The SampleResponse layout over element type T, written once:
+/// tag | count u32 | count x (len u32, len x T).
+template <typename T>
+std::size_t RangesBytes(const std::vector<std::size_t>& offsets) {
+  if (offsets.empty()) return 1 + sizeof(std::uint32_t);
+  return 1 + sizeof(std::uint32_t) +
+         (offsets.size() - 1) * sizeof(std::uint32_t) +
+         (offsets.back() - offsets.front()) * sizeof(T);
+}
+
+template <typename T>
+std::string EncodeRanges(char tag, const std::vector<T>& values,
+                         const std::vector<std::size_t>& offsets) {
+  std::string out;
+  out.reserve(RangesBytes<T>(offsets));
+  out.push_back(tag);
+  const std::size_t ranges = offsets.empty() ? 0 : offsets.size() - 1;
+  Put(&out, static_cast<std::uint32_t>(ranges));
+  for (std::size_t i = 0; i < ranges; ++i) {
+    Put(&out, static_cast<std::uint32_t>(offsets[i + 1] - offsets[i]));
+    for (std::size_t j = offsets[i]; j < offsets[i + 1]; ++j) {
+      Put(&out, values[j]);
+    }
+  }
+  return out;
+}
+
+template <typename T>
+bool DecodeRanges(const std::string& bytes, char tag, std::vector<T>* values,
+                  std::vector<std::size_t>* offsets) {
+  std::size_t pos = 0;
+  if (bytes.empty() || bytes[pos++] != tag) return false;
+  std::uint32_t ranges = 0;
+  if (!Get(bytes, &pos, &ranges)) return false;
+  // Each range contributes at least a 4-byte length prefix: reject absurd
+  // range counts before reserving anything.
+  if (static_cast<std::size_t>(ranges) * sizeof(std::uint32_t) >
+      bytes.size() - pos) {
+    return false;
+  }
+  values->clear();
+  offsets->assign(1, 0);
+  offsets->reserve(static_cast<std::size_t>(ranges) + 1);
+  for (std::uint32_t i = 0; i < ranges; ++i) {
+    std::uint32_t len = 0;
+    if (!Get(bytes, &pos, &len)) return false;
+    // Bounds-check the whole range before reading it: a bit-flipped
+    // length prefix must never cause an over-read or an absurd reserve.
+    if (static_cast<std::size_t>(len) * sizeof(T) > bytes.size() - pos) {
+      return false;
+    }
+    for (std::uint32_t j = 0; j < len; ++j) {
+      T v{};
+      if (!Get(bytes, &pos, &v)) return false;
+      values->push_back(v);
+    }
+    offsets->push_back(values->size());
+  }
+  return pos == bytes.size();
+}
+
 }  // namespace
 
 std::size_t SampleRequestBytes(std::size_t seeds) {
@@ -93,58 +154,22 @@ bool DecodeSampleRequest(const std::string& bytes, SampleRequest* req) {
 }
 
 std::string EncodeSampleResponse(const NeighborBatch& batch) {
-  std::string out;
-  out.push_back('R');
-  Put(&out, static_cast<std::uint32_t>(batch.NumSeeds()));
-  for (std::size_t i = 0; i + 1 < batch.offsets.size(); ++i) {
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(batch.offsets[i + 1] - batch.offsets[i]);
-    Put(&out, len);
-    for (std::size_t j = batch.offsets[i]; j < batch.offsets[i + 1]; ++j) {
-      Put(&out, batch.neighbors[j]);
-    }
-  }
-  return out;
+  return EncodeRanges('R', batch.neighbors, batch.offsets);
 }
-
-std::size_t SampleResponseBytes(const NeighborBatch& batch) {
-  const std::size_t draws =
-      batch.offsets.empty() ? 0 : batch.offsets.back() - batch.offsets.front();
-  return 1 + sizeof(std::uint32_t) +
-         batch.NumSeeds() * sizeof(std::uint32_t) + draws * sizeof(VertexId);
+std::string EncodeSampleResponse(const FeatureBatch& batch) {
+  return EncodeRanges('F', batch.values, batch.offsets);
 }
-
 bool DecodeSampleResponse(const std::string& bytes, NeighborBatch* batch) {
-  std::size_t pos = 0;
-  if (bytes.empty() || bytes[pos++] != 'R') return false;
-  std::uint32_t seeds;
-  if (!Get(bytes, &pos, &seeds)) return false;
-  // Each seed contributes at least a 4-byte length prefix: reject absurd
-  // seed counts before reserving anything.
-  if (static_cast<std::size_t>(seeds) * sizeof(std::uint32_t) >
-      bytes.size() - pos) {
-    return false;
-  }
-  batch->neighbors.clear();
-  batch->offsets.assign(1, 0);
-  batch->offsets.reserve(static_cast<std::size_t>(seeds) + 1);
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    std::uint32_t len;
-    if (!Get(bytes, &pos, &len)) return false;
-    // Bounds-check the whole range before reading it: a bit-flipped
-    // length prefix must never cause an over-read or an absurd reserve.
-    if (static_cast<std::size_t>(len) * sizeof(VertexId) >
-        bytes.size() - pos) {
-      return false;
-    }
-    for (std::uint32_t j = 0; j < len; ++j) {
-      VertexId v;
-      if (!Get(bytes, &pos, &v)) return false;
-      batch->neighbors.push_back(v);
-    }
-    batch->offsets.push_back(batch->neighbors.size());
-  }
-  return pos == bytes.size();
+  return DecodeRanges(bytes, 'R', &batch->neighbors, &batch->offsets);
+}
+bool DecodeSampleResponse(const std::string& bytes, FeatureBatch* batch) {
+  return DecodeRanges(bytes, 'F', &batch->values, &batch->offsets);
+}
+std::size_t SampleResponseBytes(const NeighborBatch& batch) {
+  return RangesBytes<VertexId>(batch.offsets);
+}
+std::size_t SampleResponseBytes(const FeatureBatch& batch) {
+  return RangesBytes<float>(batch.offsets);
 }
 
 std::size_t UpdateBatchBytes(std::size_t n) {

@@ -8,6 +8,7 @@
 //   SampleRequest:  tag 'S' | edge_type u32 | fanout u32 | weighted u8 |
 //                   count u32 | count x seed u64
 //   SampleResponse: tag 'R' | count u32 | count x (len u32, len x u64)
+//   (gather reply)  tag 'F' | count u32 | count x (len u32, len x f32)
 //   UpdateBatch:    tag 'U' | count u32 | count x
 //                   (kind u8, type u32, src u64, dst u64, weight f64)
 //
@@ -69,12 +70,25 @@ bool DecodeSampleRequest(const std::string& bytes, SampleRequest* req);
 /// without encoding: what the cluster counts as sent per sampling request.
 std::size_t SampleRequestBytes(std::size_t seeds);
 
-/// The response reuses NeighborBatch (per-seed ranges).
+/// Feature rows of a gather reply: row i is values[offsets[i],
+/// offsets[i + 1]), empty when the vertex has no features.
+struct FeatureBatch {
+  std::vector<float> values;
+  std::vector<std::size_t> offsets;  // size = #rows + 1
+};
+
+/// Every shard RPC answers with one flat reply in the SampleResponse
+/// layout: a sampling or traversal reply reuses NeighborBatch (per-seed
+/// ranges of u64 ids), a gather reply is a FeatureBatch (per-id rows of
+/// f32 values). One codec serves both element types.
 std::string EncodeSampleResponse(const NeighborBatch& batch);
+std::string EncodeSampleResponse(const FeatureBatch& batch);
 bool DecodeSampleResponse(const std::string& bytes, NeighborBatch* batch);
+bool DecodeSampleResponse(const std::string& bytes, FeatureBatch* batch);
 /// EncodeSampleResponse(batch).size(), without encoding: what the cluster
-/// counts as received for a delivered sampling response.
+/// counts as received for a delivered reply.
 std::size_t SampleResponseBytes(const NeighborBatch& batch);
+std::size_t SampleResponseBytes(const FeatureBatch& batch);
 
 std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch);
 bool DecodeUpdateBatch(const std::string& bytes,

@@ -17,6 +17,38 @@ namespace {
 /// Lowest set bit of x (x > 0).
 inline std::size_t Lsb(std::size_t x) { return x & (~x + 1); }
 
+/// The scalar Fenwick descent (Algorithm 5) over a borrowed array of n > 0
+/// entries: FSTable::FindIndex, and the per-draw flavour of the batched
+/// descent the AVX2 lanes below must land on exactly.
+inline std::size_t FenwickFindOne(const Weight* tree, std::size_t n,
+                                  Weight r) {
+  // Smallest power of two >= n.
+  std::size_t span = 1;
+  while (span < n) span <<= 1;
+
+  // Descend over power-of-two-aligned ranges. For an aligned range
+  // [left, left + 2^t - 1], the Fenwick entry at mid = left + 2^{t-1} - 1
+  // is exactly the sum of the left half, so one comparison halves the
+  // range.
+  std::size_t left = 0;
+  std::size_t right = span - 1;
+  while (left < right) {
+    const std::size_t mid = left + (right - left) / 2;
+    if (mid >= n) {  // indices beyond n carry zero weight: go left
+      right = mid;
+      continue;
+    }
+    if (tree[mid] > r) {
+      right = mid;
+    } else {
+      r -= tree[mid];
+      left = mid + 1;
+    }
+  }
+  // Floating-point guard: r slightly >= total can push past the end.
+  return std::min(left, n - 1);
+}
+
 }  // namespace
 
 FSTable::FSTable(const std::vector<Weight>& weights) {
@@ -85,32 +117,7 @@ std::vector<Weight> FSTable::DecodeWeights() const {
 
 std::size_t FSTable::FindIndex(Weight r) const {
   assert(!tree_.empty());
-  const std::size_t n = tree_.size();
-  // Smallest power of two >= n.
-  std::size_t span = 1;
-  while (span < n) span <<= 1;
-
-  // Algorithm 5: descend over power-of-two-aligned ranges. For an aligned
-  // range [left, left + 2^t - 1], the Fenwick entry at mid = left + 2^{t-1}
-  // - 1 is exactly the sum of the left half, so one comparison halves the
-  // range.
-  std::size_t left = 0;
-  std::size_t right = span - 1;
-  while (left < right) {
-    const std::size_t mid = left + (right - left) / 2;
-    if (mid >= n) {  // indices beyond n carry zero weight: go left
-      right = mid;
-      continue;
-    }
-    if (tree_[mid] > r) {
-      right = mid;
-    } else {
-      r -= tree_[mid];
-      left = mid + 1;
-    }
-  }
-  // Floating-point guard: r slightly >= total can push past the end.
-  return std::min(left, n - 1);
+  return FenwickFindOne(tree_.data(), tree_.size(), r);
 }
 
 std::size_t FSTable::Sample(Xoshiro256& rng) const {
@@ -118,31 +125,6 @@ std::size_t FSTable::Sample(Xoshiro256& rng) const {
 }
 
 namespace {
-
-/// Scalar flavour of the batched descent: the FindIndex loop verbatim,
-/// over a borrowed view. The AVX2 lanes below must land on exactly the
-/// indices this lands on.
-inline std::uint32_t FenwickFindOne(const Weight* tree, std::size_t n,
-                                    Weight r) {
-  std::size_t span = 1;
-  while (span < n) span <<= 1;
-  std::size_t left = 0;
-  std::size_t right = span - 1;
-  while (left < right) {
-    const std::size_t mid = left + (right - left) / 2;
-    if (mid >= n) {
-      right = mid;
-      continue;
-    }
-    if (tree[mid] > r) {
-      right = mid;
-    } else {
-      r -= tree[mid];
-      left = mid + 1;
-    }
-  }
-  return static_cast<std::uint32_t>(std::min(left, n - 1));
-}
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -314,7 +296,8 @@ void FenwickFindIndices(const FenwickView* views, const Weight* rs,
   }
 #endif
   for (; d < m; ++d) {
-    out[d] = FenwickFindOne(views[d].tree, views[d].n, rs[d]);
+    out[d] = static_cast<std::uint32_t>(
+        FenwickFindOne(views[d].tree, views[d].n, rs[d]));
   }
 }
 
@@ -336,7 +319,9 @@ void FSTable::FindIndices(const Weight* rs, std::uint32_t* out,
     }
   }
 #endif
-  for (; d < m; ++d) out[d] = FenwickFindOne(v.tree, v.n, rs[d]);
+  for (; d < m; ++d) {
+    out[d] = static_cast<std::uint32_t>(FenwickFindOne(v.tree, v.n, rs[d]));
+  }
 }
 
 bool FSTable::CheckConsistent(std::string* error) const {

@@ -131,8 +131,8 @@ Status DecodeWal(const unsigned char* data, std::size_t size,
 }
 
 Status SaveWal(const TemporalEdgeLog& log, const std::string& path) {
-  const std::vector<TimedUpdate> entries =
-      log.Window(0, std::numeric_limits<std::uint64_t>::max());
+  std::vector<TimedUpdate> entries;
+  log.WindowInto(0, std::numeric_limits<std::uint64_t>::max(), &entries);
   const std::vector<unsigned char> buf = EncodeWal(entries);
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return Status::Unavailable("WAL: cannot open " + path);

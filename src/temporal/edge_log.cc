@@ -86,13 +86,6 @@ Status TemporalEdgeLog::CheckedReplayInto(GraphStore* graph,
   return Status::Ok();
 }
 
-std::vector<TimedUpdate> TemporalEdgeLog::Window(std::uint64_t from,
-                                                 std::uint64_t to) const {
-  const std::size_t begin = UpperBound(from);
-  const std::size_t end = UpperBound(to);
-  return std::vector<TimedUpdate>(log_.begin() + begin, log_.begin() + end);
-}
-
 void TemporalEdgeLog::WindowInto(std::uint64_t from, std::uint64_t to,
                                  std::vector<TimedUpdate>* out) const {
   const std::size_t begin = UpperBound(from);

@@ -82,14 +82,19 @@ class TemporalEdgeLog {
     return ReplayInto(graph, 0, t);
   }
 
-  /// The raw log entries in the half-open window (from, to].
-  std::vector<TimedUpdate> Window(std::uint64_t from, std::uint64_t to) const;
-
-  /// Window() into a caller-owned buffer, reusing its capacity — the
-  /// replication sender calls this once per ship round, and the windows
-  /// are similarly sized round over round.
+  /// The raw log entries in the half-open window (from, to], copied into
+  /// a caller-owned buffer, reusing its capacity — the replication sender
+  /// calls this once per ship round, and the windows are similarly sized
+  /// round over round.
   void WindowInto(std::uint64_t from, std::uint64_t to,
                   std::vector<TimedUpdate>* out) const;
+
+  /// WindowInto() a fresh vector.
+  std::vector<TimedUpdate> Window(std::uint64_t from, std::uint64_t to) const {
+    std::vector<TimedUpdate> out;
+    WindowInto(from, to, &out);
+    return out;
+  }
 
   /// Drop every entry with timestamp <= t (checkpoint truncation: once a
   /// checkpoint covers G^(t), the prefix is no longer needed for

@@ -35,7 +35,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::string payload(reinterpret_cast<const char*>(data + 1),
                             size - 1);
   using namespace platod2gl;
-  switch (data[0] % 3) {
+  switch (data[0] % 4) {
     case 0: {
       wire::SampleRequest req;
       if (wire::DecodeSampleRequest(payload, &req)) {
@@ -54,6 +54,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         Require(wire::DecodeSampleResponse(enc, &again), "resp re-decode");
         Require(enc == wire::EncodeSampleResponse(again),
                 "resp round-trip mismatch");
+      }
+      break;
+    }
+    case 3: {
+      wire::FeatureBatch rows;
+      if (wire::DecodeSampleResponse(payload, &rows)) {
+        const std::string enc = wire::EncodeSampleResponse(rows);
+        wire::FeatureBatch again;
+        Require(wire::DecodeSampleResponse(enc, &again), "rows re-decode");
+        Require(enc == wire::EncodeSampleResponse(again),
+                "rows round-trip mismatch");
       }
       break;
     }

@@ -72,6 +72,12 @@ void MakeWireCorpus(const std::filesystem::path& dir) {
   WriteFile(dir / "update_batch.bin",
             Tagged('\x02', wire::EncodeUpdateBatch(updates)));
 
+  wire::FeatureBatch rows;
+  rows.values = {0.5f, -1.25f, 3.0f, 4.5f, 0.0f};
+  rows.offsets = {0, 3, 3, 5};  // width-3 row, featureless id, width-2 row
+  WriteFile(dir / "feature_response.bin",
+            Tagged('\x03', wire::EncodeSampleResponse(rows)));
+
   WriteFile(dir / "empty_payload.bin", "\x00");
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <thread>
 #include <vector>
@@ -116,10 +118,8 @@ TEST(SpinlockTest, MutualExclusion) {
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { count.fetch_add(1); });
-  }
-  pool.Wait();
+  pool.ParallelFor(100, [&](std::size_t) { count.fetch_add(1); },
+                   /*grain=*/1);
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -143,21 +143,51 @@ TEST(ThreadPoolTest, ParallelForBlockedCoversRange) {
   for (std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{7},
                             std::size_t{64}, std::size_t{5000}}) {
     std::vector<std::atomic<int>> hits(1000);
-    pool.ParallelForBlocked(1000, grain,
-                            [&](std::size_t i) { hits[i].fetch_add(1); });
+    pool.ParallelFor(1000, [&](std::size_t i) { hits[i].fetch_add(1); },
+                     grain);
     for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "grain " << grain;
   }
-  pool.ParallelForBlocked(0, 8, [](std::size_t) { FAIL(); });
+  pool.ParallelFor(0, [](std::size_t) { FAIL(); }, 8);
 }
 
 TEST(ThreadPoolTest, WaitIsReentrant) {
   ThreadPool pool(2);
-  pool.Wait();  // nothing submitted
+  pool.ParallelFor(0, [](std::size_t) { FAIL(); });  // nothing to wait for
   std::atomic<int> n{0};
-  pool.Submit([&] { n.fetch_add(1); });
-  pool.Wait();
-  pool.Wait();
-  EXPECT_EQ(n.load(), 1);
+  pool.ParallelFor(1, [&](std::size_t) { n.fetch_add(1); });
+  pool.ParallelFor(1, [&](std::size_t) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 2);
+}
+
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnTasks) {
+  // Caller A parks one task on a 2-thread pool; caller B's ParallelFor on
+  // the same pool must complete on the free worker without waiting for A.
+  ThreadPool pool(2);
+  std::promise<void> a_started;
+  std::promise<void> release_a;
+  std::shared_future<void> released = release_a.get_future().share();
+  std::thread a([&] {
+    pool.ParallelFor(1, [&](std::size_t) {
+      a_started.set_value();
+      released.wait();
+    });
+  });
+  a_started.get_future().wait();
+
+  std::promise<void> b_done;
+  std::future<void> b_returned = b_done.get_future();
+  std::atomic<int> b_tasks{0};
+  std::thread b([&] {
+    pool.ParallelFor(8, [&](std::size_t) { b_tasks.fetch_add(1); });
+    b_done.set_value();
+  });
+  const bool returned = b_returned.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned) << "ParallelFor waited for another caller's task";
+  release_a.set_value();
+  a.join();
+  b.join();
+  EXPECT_EQ(b_tasks.load(), 8);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

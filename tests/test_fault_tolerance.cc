@@ -90,6 +90,12 @@ TEST(FaultInjectorTest, CorruptBytesAlwaysRejectedByHardenedDecoders) {
   resp.neighbors = {10, 11, 12, 20, 21};
   const std::string clean = wire::EncodeSampleResponse(resp);
 
+  // A gather reply: the same layout over 4-byte feature values.
+  wire::FeatureBatch rows;
+  rows.offsets = {0, 2, 2, 3};
+  rows.values = {0.5f, 1.5f, -3.0f};
+  const std::string clean_rows = wire::EncodeSampleResponse(rows);
+
   FaultInjector inj(NoisyConfig(), 1);
   for (int i = 0; i < 400; ++i) {
     std::string damaged = clean;
@@ -98,6 +104,11 @@ TEST(FaultInjectorTest, CorruptBytesAlwaysRejectedByHardenedDecoders) {
     NeighborBatch decoded;
     ASSERT_FALSE(wire::DecodeSampleResponse(damaged, &decoded))
         << "iteration " << i << ": structurally damaged response decoded";
+    std::string damaged_rows = clean_rows;
+    inj.CorruptBytes(0, &damaged_rows);
+    wire::FeatureBatch decoded_rows;
+    ASSERT_FALSE(wire::DecodeSampleResponse(damaged_rows, &decoded_rows))
+        << "iteration " << i << ": structurally damaged gather reply decoded";
   }
 }
 
@@ -498,6 +509,144 @@ TEST(ClusterFaultTest, MultiItemRoundMatchesSoloUnderFaultsAndFallback) {
     ExpectSameReport(replicated.TraverseMany({traverse[i]}).reports[0], r,
                      what + " alone");
   }
+}
+
+/// Feature rows on the owning shards: vertex v in 1..60 holds
+/// {v, v + 0.5} when v % 3 != 0 and {v, v + 0.5, -v} when v % 3 == 0.
+void PopulateFeatures(GraphCluster* c) {
+  for (VertexId v = 1; v <= 60; ++v) {
+    std::vector<float> row{static_cast<float>(v),
+                           static_cast<float>(v) + 0.5f};
+    if (v % 3 == 0) row.push_back(-static_cast<float>(v));
+    c->shard(c->partitioner().ShardOf(v))
+        .store()
+        .attributes()
+        .SetFeatures(v, std::move(row));
+  }
+}
+
+void ExpectSameGather(const MultiGatherReport& got,
+                      const MultiGatherReport& want, const std::string& what) {
+  EXPECT_EQ(got.dim, want.dim) << what;
+  ASSERT_EQ(got.reports.size(), want.reports.size()) << what;
+  for (std::size_t i = 0; i < want.reports.size(); ++i) {
+    const std::string item = what + " item " + std::to_string(i);
+    EXPECT_EQ(got.reports[i].features, want.reports[i].features) << item;
+    EXPECT_EQ(got.reports[i].row_status, want.reports[i].row_status) << item;
+    EXPECT_EQ(got.reports[i].degraded_rows, want.reports[i].degraded_rows)
+        << item;
+  }
+}
+
+TEST(ClusterFaultTest, GatherRoundMatchesSoloUnderFaults) {
+  // Three items: duplicates, ids without features (61.., >= 5000), rows of
+  // width 2 and 3; together they touch every shard.
+  const std::vector<std::vector<VertexId>> ids{
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 3, 3, 5000, 1},
+      {60, 58, 57, 61, 99, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36},
+      {5001, 21, 24, 21, 30, 17, 50, 51, 52, 53, 54, 55, 56, 59}};
+  std::vector<GatherWorkItem> work(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) work[i].ids = &ids[i];
+
+  // (a) Fault-free: every row is the store's vector, zero-padded to dim =
+  // the widest delivered row.
+  GraphCluster control(FaultyConfig(FaultConfig{}));
+  PopulateFanout(&control);
+  PopulateFeatures(&control);
+  std::set<std::size_t> shards_hit;
+  std::set<std::size_t> wide_rows_on;
+  for (const std::vector<VertexId>& item : ids) {
+    for (VertexId v : item) {
+      shards_hit.insert(control.partitioner().ShardOf(v));
+      if (v <= 60 && v % 3 == 0) {
+        wide_rows_on.insert(control.partitioner().ShardOf(v));
+      }
+    }
+  }
+  ASSERT_EQ(shards_hit.size(), control.num_shards());
+  ASSERT_EQ(wide_rows_on.size(), control.num_shards());
+
+  const MultiGatherReport want = control.GatherMany(work);
+  ASSERT_EQ(want.dim, 3u);
+  ASSERT_EQ(want.reports.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const GatherReport& r = want.reports[i];
+    ASSERT_EQ(r.features.size(), ids[i].size() * want.dim);
+    EXPECT_EQ(r.row_status,
+              std::vector<SeedStatus>(ids[i].size(), SeedStatus::kOk));
+    EXPECT_EQ(r.degraded_rows, 0u);
+    for (std::size_t k = 0; k < ids[i].size(); ++k) {
+      const VertexId v = ids[i][k];
+      const std::vector<float>* stored =
+          control.shard(control.partitioner().ShardOf(v))
+              .store()
+              .attributes()
+              .GetFeatures(v);
+      std::vector<float> padded(want.dim, 0.0f);
+      if (stored != nullptr) {
+        std::copy(stored->begin(), stored->end(), padded.begin());
+      }
+      EXPECT_EQ(std::vector<float>(
+                    r.features.begin() +
+                        static_cast<std::ptrdiff_t>(k * want.dim),
+                    r.features.begin() +
+                        static_cast<std::ptrdiff_t>((k + 1) * want.dim)),
+                padded)
+          << "item " << i << " id " << v;
+    }
+  }
+
+  // (b) Lost requests and damaged replies within the retry budget.
+  FaultConfig fault;
+  fault.failure_prob = 0.2;
+  fault.corrupt_prob = 0.3;
+  ClusterConfig faulty_cfg = FaultyConfig(fault);
+  faulty_cfg.retry.max_attempts = 32;
+  GraphCluster faulty(faulty_cfg);
+  PopulateFanout(&faulty);
+  PopulateFeatures(&faulty);
+  for (int round = 0; round < 6; ++round) {
+    ExpectSameGather(faulty.GatherMany(work), want,
+                     "faulty round " + std::to_string(round));
+  }
+  EXPECT_GT(faulty.stats().corrupt_responses, 0u);
+
+  // (c) One shard crashed, no replicas: exactly its ids come back as zero
+  // rows flagged kDegraded; every other row is (a)'s.
+  GraphCluster crashed(FaultyConfig(FaultConfig{}));
+  PopulateFanout(&crashed);
+  PopulateFeatures(&crashed);
+  constexpr std::size_t kVictim = 1;
+  crashed.CrashShard(kVictim);
+  const MultiGatherReport got = crashed.GatherMany(work);
+  EXPECT_EQ(got.dim, want.dim);
+  ASSERT_EQ(got.reports.size(), ids.size());
+  std::size_t degraded_total = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const GatherReport& r = got.reports[i];
+    ASSERT_EQ(r.features.size(), ids[i].size() * want.dim);
+    std::uint64_t degraded = 0;
+    for (std::size_t k = 0; k < ids[i].size(); ++k) {
+      const auto row = [&](const GatherReport& rep) {
+        return std::vector<float>(
+            rep.features.begin() + static_cast<std::ptrdiff_t>(k * want.dim),
+            rep.features.begin() +
+                static_cast<std::ptrdiff_t>((k + 1) * want.dim));
+      };
+      const VertexId v = ids[i][k];
+      if (crashed.partitioner().ShardOf(v) == kVictim) {
+        ++degraded;
+        EXPECT_EQ(r.row_status[k], SeedStatus::kDegraded) << "id " << v;
+        EXPECT_EQ(row(r), std::vector<float>(want.dim, 0.0f)) << "id " << v;
+      } else {
+        EXPECT_EQ(r.row_status[k], SeedStatus::kOk) << "id " << v;
+        EXPECT_EQ(row(r), row(want.reports[i])) << "id " << v;
+      }
+    }
+    EXPECT_EQ(r.degraded_rows, degraded) << "item " << i;
+    degraded_total += degraded;
+  }
+  EXPECT_GT(degraded_total, 0u);
 }
 
 // --- RemoteSubgraphSampler resilience --------------------------------------

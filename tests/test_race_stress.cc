@@ -227,46 +227,52 @@ TEST(RaceStressTest, CuckooMapConcurrentWritersAndSizePolling) {
                 (kKeysPerThread + 64));
 }
 
-// Concurrent Submit storms from external threads plus overlapping
-// ParallelForBlocked calls: exercises the guarded queue/bookkeeping state
-// the thread-safety annotations now cover.
+// Concurrent ParallelFor storms from external threads plus overlapping
+// blocked calls: exercises the guarded queue and per-call completion
+// state the thread-safety annotations cover. Every caller waits for its
+// own tasks only, so all of them must complete with their full count.
 TEST(RaceStressTest, ThreadPoolSubmitAndParallelForStorm) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> counter{0};
 
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksEach = 1500;
-  std::vector<std::thread> submitters;
-  submitters.reserve(kSubmitters);
-  for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&] {
-      for (int i = 0; i < kTasksEach; ++i) {
-        // order: test tally; joins order the final read
-        pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+  constexpr int kCallers = 4;
+  constexpr int kCallsEach = 1500;
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kCallsEach; ++i) {
+        pool.ParallelFor(1, [&](std::size_t) {
+          // order: test tally; joins order the final read
+          counter.fetch_add(1, std::memory_order_relaxed);
+        });
       }
     });
   }
-  for (auto& th : submitters) th.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(counter.load(), kCallers * kCallsEach);
 
   counter.store(0);
   std::thread a([&] {
-    pool.ParallelForBlocked(5000, 64, [&](std::size_t) {
-      // order: test tally; joins order the final read
-      counter.fetch_add(1, std::memory_order_relaxed);
-    });
+    pool.ParallelFor(
+        5000,
+        [&](std::size_t) {
+          // order: test tally; joins order the final read
+          counter.fetch_add(1, std::memory_order_relaxed);
+        },
+        64);
   });
   std::thread b([&] {
-    pool.ParallelForBlocked(5000, 64, [&](std::size_t) {
-      // order: test tally; joins order the final read
-      counter.fetch_add(1, std::memory_order_relaxed);
-    });
+    pool.ParallelFor(
+        5000,
+        [&](std::size_t) {
+          // order: test tally; joins order the final read
+          counter.fetch_add(1, std::memory_order_relaxed);
+        },
+        64);
   });
   a.join();
   b.join();
-  // ParallelForBlocked's Wait() is pool-global, so each call may also wait
-  // on the other's tasks — but both must have fully run by now.
   EXPECT_EQ(counter.load(), 10000u);
 }
 

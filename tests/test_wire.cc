@@ -41,6 +41,16 @@ TEST(WireTest, SampleResponseRoundTrip) {
   ASSERT_TRUE(wire::DecodeSampleResponse(bytes, &decoded));
   EXPECT_EQ(decoded.neighbors, batch.neighbors);
   EXPECT_EQ(decoded.offsets, batch.offsets);
+
+  wire::FeatureBatch rows;
+  rows.values = {0.5f, -2.0f, 7.25f};
+  rows.offsets = {0, 0, 3};  // first row empty
+  const std::string row_bytes = wire::EncodeSampleResponse(rows);
+  EXPECT_EQ(row_bytes[0], 'F');
+  wire::FeatureBatch rows_decoded;
+  ASSERT_TRUE(wire::DecodeSampleResponse(row_bytes, &rows_decoded));
+  EXPECT_EQ(rows_decoded.values, rows.values);
+  EXPECT_EQ(rows_decoded.offsets, rows.offsets);
 }
 
 TEST(WireTest, SampleResponseBytesMatchesEncoder) {
@@ -56,6 +66,13 @@ TEST(WireTest, SampleResponseBytesMatchesEncoder) {
               wire::EncodeSampleResponse(cases[i]).size())
         << "case " << i;
   }
+  // A gather reply: the same layout over 4-byte feature values.
+  wire::FeatureBatch rows;
+  rows.values = {1.0f, 2.0f, 3.0f};
+  rows.offsets = {0, 2, 2, 3};
+  EXPECT_EQ(wire::SampleResponseBytes(rows),
+            wire::EncodeSampleResponse(rows).size());
+  EXPECT_EQ(wire::SampleResponseBytes(rows), 5u + 3 * 4u + 3 * 4u);
 }
 
 TEST(WireTest, RequestSizeHelpersMatchEncoders) {
@@ -189,6 +206,43 @@ TEST(WireTest, BatchedRoundReceivesOneResponsePerShard) {
   const auto before = cluster.stats().bytes_received;
   const MultiSampleReport multi = cluster.SampleMany(work);
   ASSERT_EQ(multi.reports.size(), work.size());
+  EXPECT_EQ(cluster.stats().bytes_received - before, expect_received);
+}
+
+TEST(WireTest, BatchedGatherRoundReceivesOneResponsePerShard) {
+  // A gather round answers each shard's RPC with ONE flat reply in the
+  // SampleResponse layout: one header per shard, then 4 B length + 4 B
+  // per feature value for each row (ids without features: empty rows).
+  GraphCluster cluster(ClusterConfig{.num_shards = 2});
+  const auto width = [](VertexId v) -> std::size_t {
+    return v <= 10 ? v % 3 + 1 : 0;
+  };
+  for (VertexId v = 1; v <= 10; ++v) {
+    cluster.shard(cluster.partitioner().ShardOf(v))
+        .store()
+        .attributes()
+        .SetFeatures(v, std::vector<float>(width(v), 0.5f));
+  }
+
+  const std::vector<std::vector<VertexId>> ids = {
+      {1, 2, 3, 4, 5}, {6, 7, 8, 99}, {10, 1, 1}};
+  std::vector<GatherWorkItem> work(ids.size());
+  std::vector<std::uint64_t> expect(cluster.num_shards(), 0);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i].ids = &ids[i];
+    for (VertexId v : ids[i]) {
+      expect[cluster.partitioner().ShardOf(v)] += 4 + 4 * width(v);
+    }
+  }
+  ASSERT_EQ(std::count(expect.begin(), expect.end(), 0u), 0)
+      << "both shards take part";
+  std::uint64_t expect_received = 0;
+  for (std::uint64_t per_shard : expect) expect_received += 1 + 4 + per_shard;
+
+  const auto before = cluster.stats().bytes_received;
+  const MultiGatherReport multi = cluster.GatherMany(work);
+  ASSERT_EQ(multi.reports.size(), work.size());
+  EXPECT_EQ(multi.dim, 3u);
   EXPECT_EQ(cluster.stats().bytes_received - before, expect_received);
 }
 

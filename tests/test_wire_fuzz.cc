@@ -39,6 +39,14 @@ NeighborBatch MakeResponse() {
   return b;
 }
 
+/// A gather reply: the same layout over f32 feature values.
+wire::FeatureBatch MakeFeatureResponse() {
+  wire::FeatureBatch b;
+  b.values = {0.5f, -1.0f, 2.0f, 3.25f, 1e-3f};
+  b.offsets = {0, 2, 2, 5};  // middle row is empty
+  return b;
+}
+
 std::vector<EdgeUpdate> MakeUpdates() {
   return {{UpdateKind::kInsert, Edge{1, 2, 1.5, 0}},
           {UpdateKind::kInPlaceUpdate, Edge{3, 4, -2.0, 1}},
@@ -52,6 +60,10 @@ bool TryRequest(const std::string& bytes) {
 }
 bool TryResponse(const std::string& bytes) {
   NeighborBatch out;
+  return DecodeSampleResponse(bytes, &out);
+}
+bool TryFeatures(const std::string& bytes) {
+  wire::FeatureBatch out;
   return DecodeSampleResponse(bytes, &out);
 }
 bool TryUpdates(const std::string& bytes) {
@@ -75,6 +87,11 @@ TEST(WireFuzzTest, EveryTruncationOfAResponseIsRejected) {
     EXPECT_FALSE(TryResponse(full.substr(0, n))) << "prefix length " << n;
   }
   EXPECT_TRUE(TryResponse(full));
+  const std::string rows = EncodeSampleResponse(MakeFeatureResponse());
+  for (std::size_t n = 0; n < rows.size(); ++n) {
+    EXPECT_FALSE(TryFeatures(rows.substr(0, n))) << "prefix length " << n;
+  }
+  EXPECT_TRUE(TryFeatures(rows));
 }
 
 TEST(WireFuzzTest, EveryTruncationOfAnUpdateBatchIsRejected) {
@@ -91,6 +108,8 @@ TEST(WireFuzzTest, TrailingGarbageIsRejected) {
   for (const char extra : {'\0', 'S', '\xFF'}) {
     EXPECT_FALSE(TryRequest(EncodeSampleRequest(MakeRequest()) + extra));
     EXPECT_FALSE(TryResponse(EncodeSampleResponse(MakeResponse()) + extra));
+    EXPECT_FALSE(
+        TryFeatures(EncodeSampleResponse(MakeFeatureResponse()) + extra));
     EXPECT_FALSE(TryUpdates(EncodeUpdateBatch(MakeUpdates()) + extra));
   }
 }
@@ -115,19 +134,22 @@ TEST(WireFuzzTest, AbsurdCountsAreRejectedWithoutAllocating) {
     bytes += "xx";
     EXPECT_FALSE(TryRequest(bytes));
   }
-  {
-    std::string bytes = "R";
-    Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);  // seed count
-    bytes += "xx";
-    EXPECT_FALSE(TryResponse(bytes));
-  }
-  {
-    // Plausible seed count, absurd per-seed length prefix.
-    std::string bytes = "R";
-    Append<std::uint32_t>(&bytes, 1);
-    Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);  // len of seed 0
-    bytes += "xxxxxxxx";
-    EXPECT_FALSE(TryResponse(bytes));
+  for (const char tag : {'R', 'F'}) {
+    const auto try_reply = tag == 'R' ? TryResponse : TryFeatures;
+    {
+      std::string bytes(1, tag);
+      Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);  // range count
+      bytes += "xx";
+      EXPECT_FALSE(try_reply(bytes)) << tag;
+    }
+    {
+      // Plausible range count, absurd per-range length prefix.
+      std::string bytes(1, tag);
+      Append<std::uint32_t>(&bytes, 1);
+      Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);  // len of range 0
+      bytes += "xxxxxxxx";
+      EXPECT_FALSE(try_reply(bytes)) << tag;
+    }
   }
   {
     std::string bytes = "U";
@@ -140,10 +162,14 @@ TEST(WireFuzzTest, AbsurdCountsAreRejectedWithoutAllocating) {
 TEST(WireFuzzTest, WrongTagAndEmptyBufferAreRejected) {
   EXPECT_FALSE(TryRequest(""));
   EXPECT_FALSE(TryResponse(""));
+  EXPECT_FALSE(TryFeatures(""));
   EXPECT_FALSE(TryUpdates(""));
   const std::string req = EncodeSampleRequest(MakeRequest());
   EXPECT_FALSE(TryResponse(req)) << "request bytes are not a response";
+  EXPECT_FALSE(TryFeatures(req));
   EXPECT_FALSE(TryUpdates(req));
+  EXPECT_FALSE(TryFeatures(EncodeSampleResponse(MakeResponse())))
+      << "a sample reply is not a gather reply";
 }
 
 // --- Bit-flip sweeps --------------------------------------------------------
@@ -186,9 +212,17 @@ TEST(WireFuzzTest, RequestSurvivesFullBitFlipSweep) {
 }
 
 TEST(WireFuzzTest, ResponseSurvivesFullBitFlipSweep) {
-  NeighborBatch scratch;
-  BitFlipSweep(EncodeSampleResponse(MakeResponse()), DecodeSampleResponse,
-               EncodeSampleResponse, &scratch);
+  const auto decode = [](const std::string& bytes, auto* batch) {
+    return DecodeSampleResponse(bytes, batch);
+  };
+  const auto encode = [](const auto& batch) {
+    return EncodeSampleResponse(batch);
+  };
+  NeighborBatch ids;
+  BitFlipSweep(EncodeSampleResponse(MakeResponse()), decode, encode, &ids);
+  wire::FeatureBatch rows;
+  BitFlipSweep(EncodeSampleResponse(MakeFeatureResponse()), decode, encode,
+               &rows);
 }
 
 TEST(WireFuzzTest, UpdateBatchSurvivesFullBitFlipSweep) {
@@ -206,7 +240,7 @@ TEST(WireFuzzTest, RandomGarbageNeverCrashesDecoders) {
     std::string bytes;
     bytes.reserve(len + 1);
     // Start with a real tag half the time so the sweep gets past byte 0.
-    if (rng.Next() & 1) bytes.push_back("SRU"[rng.Next() % 3]);
+    if (rng.Next() & 1) bytes.push_back("SRFU"[rng.Next() % 4]);
     while (bytes.size() < len) {
       bytes.push_back(static_cast<char>(rng.Next()));
     }
@@ -214,6 +248,7 @@ TEST(WireFuzzTest, RandomGarbageNeverCrashesDecoders) {
     // when the garbage happens to be well-formed.
     TryRequest(bytes);
     TryResponse(bytes);
+    TryFeatures(bytes);
     TryUpdates(bytes);
   }
 }
@@ -229,6 +264,11 @@ TEST(WireFuzzTest, EmptyMessagesRoundTrip) {
   NeighborBatch out;
   ASSERT_TRUE(DecodeSampleResponse(EncodeSampleResponse(empty), &out));
   EXPECT_EQ(out.NumSeeds(), 0u);
+  wire::FeatureBatch no_rows;
+  wire::FeatureBatch rows_out;
+  ASSERT_TRUE(
+      DecodeSampleResponse(EncodeSampleResponse(no_rows), &rows_out));
+  EXPECT_EQ(rows_out.offsets, std::vector<std::size_t>{0});
 
   std::vector<EdgeUpdate> none;
   std::vector<EdgeUpdate> decoded;
