@@ -1,11 +1,10 @@
 // Extension bench: cost of the query types the FSTable/samtree design
-// enables beyond the paper — weighted sampling WITHOUT replacement,
-// ranged neighbourhood queries, and Monte-Carlo personalised PageRank.
+// enables beyond the paper — weighted sampling WITHOUT replacement and
+// ranged neighbourhood queries.
 #include <cstdio>
 
 #include "baselines/samtree_store.h"
 #include "bench_util.h"
-#include "walk/random_walk.h"
 
 using namespace platod2gl;
 using namespace platod2gl::bench;
@@ -66,29 +65,6 @@ int main() {
     }
     std::printf("  full-scan filter:  %8.3f ms per call (count %zu)\n",
                 t.ElapsedMillis() / 20, sink / 20);
-  }
-
-  // Personalised PageRank over a dataset-scale graph.
-  std::printf("\nMonte-Carlo PPR (wechat-mini, relation 0):\n");
-  Dataset ds = MakeWeChatMini();
-  GraphStore graph(GraphStoreConfig{.num_relations = ds.num_relations});
-  for (const Edge& e : ds.edges) {
-    graph.topology(e.type).AddEdgeUnchecked(e.src, e.dst, e.weight);
-  }
-  RandomWalker walker(&graph);
-  const std::vector<VertexId> sources = SourcesOf(ds.edges, 0);
-  for (std::size_t walks : {100u, 400u, 1600u}) {
-    Timer t;
-    std::size_t touched = 0;
-    for (int s = 0; s < 10; ++s) {
-      touched += walker
-                     .ApproxPPR(sources[s], walks, /*walk_length=*/12,
-                                /*restart_prob=*/0.15, rng)
-                     .size();
-    }
-    std::printf("  %5zu walks/seed: %8.2f ms per seed, ~%zu vertices "
-                "reached\n",
-                walks, t.ElapsedMillis() / 10, touched / 10);
   }
   return 0;
 }

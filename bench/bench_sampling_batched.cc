@@ -17,6 +17,8 @@
 // interleaved with the others so drift hits them alike, and each column
 // is the median. The acceptance bar, on medians: batched+SIMD at least
 // 1.5x the per-draw baseline on weighted sampling at every k >= 16.
+// Uniform k-draws are a plain per-draw loop (batching them did not pay,
+// docs/sampling_simd.md), so there is nothing to compare for them.
 // Results go to BENCH_sampling_batched.json.
 #include <algorithm>
 #include <cstdio>
@@ -86,26 +88,6 @@ double MeasureWeighted(const std::vector<Samtree>& trees, std::size_t k,
       } else {
         for (std::size_t i = 0; i < k; ++i) {
           out.push_back(tree.SampleWeighted(rng));
-        }
-      }
-    }
-  }
-  return t.ElapsedMillis();
-}
-
-double MeasureUniform(const std::vector<Samtree>& trees, std::size_t k,
-                      int rounds, bool batched) {
-  Xoshiro256 rng(9);
-  std::vector<VertexId> out;
-  Timer t;
-  for (int r = 0; r < rounds; ++r) {
-    for (const Samtree& tree : trees) {
-      out.clear();
-      if (batched) {
-        tree.SampleUniform(k, rng, &out);
-      } else {
-        for (std::size_t i = 0; i < k; ++i) {
-          out.push_back(tree.SampleUniform(rng));
         }
       }
     }
@@ -203,29 +185,6 @@ int main() {
                      "(< 1.5x per-draw)\n",
                      mix.c_str(), k, base_ms / simd_ms);
       }
-    }
-
-    std::printf("\n--- %s degree mix: uniform k-draws ---\n", mix.c_str());
-    std::printf("%-6s %12s %12s %10s\n", "k", "per_draw", "batched",
-                "speedup");
-    PrintRule();
-    for (std::size_t k : ks) {
-      const std::vector<double> ms = InterleavedMedians({
-          [&] { return MeasureUniform(trees, k, rounds, false); },
-          [&] { return MeasureUniform(trees, k, rounds, true); },
-      });
-      const double base_ms = ms[0], batched_ms = ms[1];
-      std::printf("%-6zu %10.2fms %10.2fms %9.2fx\n", k, base_ms, batched_ms,
-                  base_ms / batched_ms);
-      json.Rec()
-          .Str("mix", mix)
-          .Str("mode", "uniform")
-          .Num("k", static_cast<std::uint64_t>(k))
-          .Num("trees", static_cast<std::uint64_t>(num_trees))
-          .Num("reps", static_cast<std::uint64_t>(kRepetitions))
-          .Num("per_draw_ms", base_ms)
-          .Num("batched_ms", batched_ms)
-          .Num("speedup_batched", base_ms / batched_ms);
     }
   }
 

@@ -2,12 +2,14 @@
 // Figure 1 — a training server drives GraphSAGE against remote graph
 // servers.
 //
-// Topology lives sharded across a GraphCluster; the trainer issues one
-// batched sampling RPC round per hop (RemoteSubgraphSampler) and fetches
-// vertex features through an LRU cache, so hot vertices stop costing
-// feature RPCs. The run reports model quality alongside the operational
-// numbers a deployment watches: RPC counts, bytes on the wire, per-RPC
-// latency percentiles and feature-cache hit rate.
+// Topology and vertex features live sharded across a GraphCluster; the
+// trainer issues one batched sampling RPC round per hop
+// (RemoteSubgraphSampler), then fetches the features of every sampled
+// layer in ONE GatherMany round — one RPC per shard, not one per vertex.
+// The run reports model quality alongside the operational numbers a
+// deployment watches: RPC counts, bytes on the wire and per-RPC latency
+// percentiles.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -21,33 +23,25 @@ constexpr std::size_t kCommunities = 4;
 constexpr std::size_t kSize = 250;
 constexpr std::size_t kDim = 8;
 
-/// The "remote" attribute store with RPC counting: one feature fetch per
-/// cache miss.
-struct RemoteFeatures {
-  AttributeStore store;
-  LruCache<VertexId, std::vector<float>> cache{4096};
-  std::uint64_t fetch_rpcs = 0;
-
-  const std::vector<float>* Fetch(VertexId v) {
-    if (const auto* hit = cache.Get(v)) return hit;
-    ++fetch_rpcs;  // would be a network round-trip in production
-    const std::vector<float>* f = store.GetFeatures(v);
-    if (!f) return nullptr;
-    return cache.Put(v, *f);
-  }
-};
-
-Tensor GatherCached(RemoteFeatures& feats,
-                    const std::vector<VertexId>& ids) {
-  Tensor t(ids.size(), kDim);
-  for (std::size_t row = 0; row < ids.size(); ++row) {
-    if (const std::vector<float>* f = feats.Fetch(ids[row])) {
-      for (std::size_t d = 0; d < kDim && d < f->size(); ++d) {
-        t(row, d) = (*f)[d];
-      }
+/// One gather round for every layer of a sampled subgraph: one work item
+/// per layer, each densified into a [layer x kDim] tensor.
+std::vector<Tensor> GatherLayers(GraphCluster& cluster,
+                                 const SampledSubgraph& sg) {
+  std::vector<GatherWorkItem> work;
+  for (const auto& layer : sg.layers) work.push_back({.ids = &layer});
+  const MultiGatherReport rows = cluster.GatherMany(work);
+  const std::size_t cols = std::min<std::size_t>(rows.dim, kDim);
+  std::vector<Tensor> features;
+  for (std::size_t l = 0; l < sg.layers.size(); ++l) {
+    Tensor t(sg.layers[l].size(), kDim);
+    const std::vector<float>& f = rows.reports[l].features;
+    for (std::size_t row = 0; row < sg.layers[l].size(); ++row) {
+      std::copy(f.begin() + row * rows.dim, f.begin() + row * rows.dim + cols,
+                t.row(row));
     }
+    features.push_back(std::move(t));
   }
-  return t;
+  return features;
 }
 
 }  // namespace
@@ -62,7 +56,6 @@ int main() {
   GraphCluster cluster(ClusterConfig{.num_shards = 8,
                                      .rpc_latency_us = 150,
                                      .num_client_threads = 4});
-  RemoteFeatures features;
   Xoshiro256 rng(3);
   std::vector<VertexId> all_vertices, train_seeds, test_seeds;
   std::vector<EdgeUpdate> bootstrap;
@@ -77,7 +70,10 @@ int main() {
     std::vector<float> f(kDim);
     for (auto& x : f) x = static_cast<float>(rng.NextDouble() * 0.4 - 0.2);
     f[comm % kDim] += 1.2f;
-    features.store.SetFeatures(v, std::move(f));
+    cluster.shard(cluster.partitioner().ShardOf(v))
+        .store()
+        .attributes()
+        .SetFeatures(v, std::move(f));
     all_vertices.push_back(v);
     (v % 5 == 0 ? test_seeds : train_seeds).push_back(v);
   }
@@ -87,7 +83,7 @@ int main() {
               cluster.NumEdges(), cluster.num_shards(),
               cluster.LoadImbalance());
 
-  // Training server: GraphSAGE fed by remote sampling + cached features.
+  // Training server: GraphSAGE fed by remote sampling + remote features.
   GraphSageModel model(
       GraphSageConfig{.in_dim = kDim, .hidden_dim = 16,
                       .num_classes = kCommunities},
@@ -100,9 +96,7 @@ int main() {
         seeds, {{.fanout = 8}, {.fanout = 8}}, /*seed=*/round);
     GraphSageModel::Inputs in;
     in.sg = &sg;
-    for (const auto& layer : sg.layers) {
-      in.features.push_back(GatherCached(features, layer));
-    }
+    in.features = GatherLayers(cluster, sg);
     std::vector<std::int64_t> labels;
     for (VertexId v : seeds) {
       labels.push_back(static_cast<std::int64_t>(v / kSize));
@@ -128,8 +122,8 @@ int main() {
 
   // The operational view.
   const ClusterStats& s = cluster.stats();
-  std::printf("sampling RPCs: %llu (%.1f per minibatch; one round per hop, "
-              "not per vertex)\n",
+  std::printf("RPCs: %llu (%.1f per minibatch; one round per hop plus one "
+              "feature round, not one per vertex)\n",
               (unsigned long long)s.rpcs, s.rpcs / 62.0);
   std::printf("wire traffic:  %s sent, %s received\n",
               HumanBytes(s.bytes_sent).c_str(),
@@ -139,13 +133,6 @@ int main() {
               s.virtual_network_us / 1e3,
               cluster.rpc_latency().PercentileMicros(50),
               cluster.rpc_latency().PercentileMicros(99));
-  std::printf("feature cache: %.1f%% hit rate (%llu fetch RPCs avoided of "
-              "%llu lookups)\n",
-              100.0 * features.cache.HitRate(),
-              (unsigned long long)features.cache.hits(),
-              (unsigned long long)(features.cache.hits() +
-                                   features.cache.misses()));
-
   std::printf("\ndone.\n");
   return 0;
 }

@@ -31,8 +31,7 @@ int main() {
   // Bootstrap a user->live interaction graph: room popularity is
   // Zipf-skewed (like the production User-Live relation) and every user
   // has a genre preference — 80% of their interactions stay inside one of
-  // four room genres, which is the signal the retrieval model later
-  // learns.
+  // four room genres.
   constexpr int kGenres = 4;
   std::vector<Edge> bootstrap;
   {
@@ -133,44 +132,6 @@ int main() {
   std::printf("\n2-hop candidate pool: %zu rooms -> %zu co-watching "
               "viewers\n",
               sg.layers[1].size(), sg.layers[2].size());
-
-  // Finally: train a two-tower retrieval model (BPR) straight off the
-  // live topology — positives are weighted edge samples, negatives come
-  // from a popularity^0.75 sampler over the room namespace.
-  std::printf("\ntraining a two-tower retrieval model on the live graph "
-              "...\n");
-  std::vector<VertexId> all_users;
-  for (VertexId u = 0; u < kUsers; ++u) all_users.push_back(kUserBase + u);
-  TwoTowerModel tower(&graph,
-                      TwoTowerConfig{.dim = 32, .learning_rate = 0.05f},
-                      kLiveBase, kLiveBase + kLives);
-  const double auc_before = tower.PairwiseAccuracy(all_users, 2, rng);
-  for (int epoch = 0; epoch < 15; ++epoch) tower.TrainEpoch(all_users, rng);
-  const double auc_after = tower.PairwiseAccuracy(all_users, 2, rng);
-  std::printf("pairwise ranking accuracy: %.3f before -> %.3f after "
-              "training\n",
-              auc_before, auc_after);
-
-  // Retrieval: rank every room for our user, before and after the model
-  // catches up with the binge (its weight restored + a burst of
-  // single-user training steps on the fresh topology).
-  std::vector<VertexId> rooms;
-  for (VertexId r = 0; r < kLives; ++r) rooms.push_back(kLiveBase + r);
-  auto rank_of = [&](VertexId room) {
-    const auto ranked = tower.Recommend(user, rooms);
-    for (std::size_t i = 0; i < ranked.size(); ++i) {
-      if (ranked[i] == room) return i + 1;
-    }
-    return ranked.size();
-  };
-  const std::size_t rank_before = rank_of(new_room);
-  graph.topology(0).UpdateEdge(user, new_room, 50.0);
-  for (int step = 0; step < 300; ++step) tower.TrainEpoch({user}, rng);
-  const std::size_t rank_after = rank_of(new_room);
-  std::printf("the binged room's rank for user %llu: #%zu -> #%zu of %zu "
-              "after the model sees the fresh interactions\n",
-              (unsigned long long)(user - kUserBase), rank_before,
-              rank_after, rooms.size());
 
   std::printf("\ndone.\n");
   return 0;

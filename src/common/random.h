@@ -62,34 +62,6 @@ class Xoshiro256 {
   /// Uniform double in [0, bound).
   double NextDouble(double bound) { return NextDouble() * bound; }
 
-  /// Advance the state by 2^128 steps (Blackman & Vigna's jump
-  /// polynomial): partitions one seed's stream into disjoint
-  /// non-overlapping substreams. Parallel samplers hand worker chunk c
-  /// a copy of the base generator jumped c times, which is both cheaper
-  /// and statistically cleaner than re-seeding per chunk — and hoists
-  /// generator construction out of the per-vertex fan-out loop entirely.
-  void Jump() {
-    static constexpr std::uint64_t kJump[4] = {
-        0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-        0x39ABDC4529B1661CULL};
-    std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-    for (std::uint64_t mask : kJump) {
-      for (int b = 0; b < 64; ++b) {
-        if (mask & (1ULL << b)) {
-          s0 ^= state_[0];
-          s1 ^= state_[1];
-          s2 ^= state_[2];
-          s3 ^= state_[3];
-        }
-        Next();
-      }
-    }
-    state_[0] = s0;
-    state_[1] = s1;
-    state_[2] = s2;
-    state_[3] = s3;
-  }
-
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t NextUint64(std::uint64_t bound) {
     // Lemire's nearly-divisionless method.

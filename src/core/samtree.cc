@@ -661,8 +661,7 @@ constexpr std::size_t kBatchMinDraws = 4;
 /// Per-thread reusable buffers for the batched descent — sampling is the
 /// serving hot path, so steady state must not allocate.
 struct BatchScratch {
-  std::vector<Weight> r;         // residual of each draw, original order
-  std::vector<std::uint64_t> u;  // uniform draws, original order
+  std::vector<Weight> r;  // residual of each draw, original order
   std::vector<const Samtree::Node*> nodes;  // current node of each draw
   std::vector<FenwickView> views;           // leaf Fenwick of each draw
   std::vector<std::uint32_t> leaf_idx;
@@ -741,48 +740,7 @@ void Samtree::SampleWeighted(std::size_t k, Xoshiro256& rng,
 void Samtree::SampleUniform(std::size_t k, Xoshiro256& rng,
                             std::vector<VertexId>* out) const {
   out->reserve(out->size() + k);
-  if (k < kBatchMinDraws) {
-    for (std::size_t i = 0; i < k; ++i) out->push_back(SampleUniform(rng));
-    return;
-  }
-  assert(root_ && "SampleUniform on an empty samtree");
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kSamtreeDescent);
-  BatchScratch& s = Scratch();
-  s.u.resize(k);
-  for (std::size_t i = 0; i < k; ++i) s.u[i] = rng.NextUint64(count_);
-
-  if (root_->is_leaf) {
-    const auto* leaf = static_cast<const LeafNode*>(root_.get());
-    for (std::size_t d = 0; d < k; ++d) {
-      out->push_back(leaf->ids.Get(s.u[d]));
-    }
-    return;
-  }
-
-  // Same level-synchronous routing as the weighted batch, over the
-  // per-child counts (exact integer arithmetic — trivially bit-equal to
-  // the scalar count walk). The leaf draw itself is already O(1), so
-  // routing is the only thing a uniform batch can amortise.
-  s.nodes.assign(k, root_.get());
-  const std::size_t height = Height();
-  for (std::size_t level = 0; level + 1 < height; ++level) {
-    for (std::size_t d = 0; d < k; ++d) {
-      const auto* in = static_cast<const InternalNode*>(s.nodes[d]);
-      std::uint64_t r = s.u[d];
-      std::size_t j = 0;
-      while (r >= in->counts[j]) {
-        r -= in->counts[j];
-        ++j;
-      }
-      s.u[d] = r;
-      const Node* child = in->children[j].get();
-      simd::PrefetchRead(child);
-      s.nodes[d] = child;
-    }
-  }
-  for (std::size_t d = 0; d < k; ++d) {
-    out->push_back(static_cast<const LeafNode*>(s.nodes[d])->ids.Get(s.u[d]));
-  }
+  for (std::size_t i = 0; i < k; ++i) out->push_back(SampleUniform(rng));
 }
 
 std::vector<VertexId> Samtree::SampleWeightedDistinct(std::size_t k,

@@ -152,9 +152,10 @@ class Samtree {
   void SampleWeighted(std::size_t k, Xoshiro256& rng,
                       std::vector<VertexId>* out) const;
 
-  /// Uniform flavour of the k-draw descent: the same level-synchronous
-  /// routing over the per-child counts (exact integer arithmetic). Same
-  /// output as the loop over SampleUniform(rng). Tree must be non-empty.
+  /// Draw k neighbours uniformly with replacement, appended to *out: the
+  /// loop over SampleUniform(rng). The leaf draw is O(1), and batching
+  /// the routing measured no faster (docs/sampling_simd.md). Tree must be
+  /// non-empty.
   void SampleUniform(std::size_t k, Xoshiro256& rng,
                      std::vector<VertexId>* out) const;
 

@@ -239,6 +239,20 @@ void GraphCluster::MergeOutcome(const RpcOutcome& out) {
   if (out.deadline_hit) counters_.deadline_hits->Add();
 }
 
+template <typename HasWork, typename Body>
+void GraphCluster::FanOut(HasWork&& has_work, Body&& body) {
+  std::vector<std::size_t> touched;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (has_work(s)) touched.push_back(s);
+  }
+  if (touched.size() == 1) {
+    body(touched[0]);
+    return;
+  }
+  pool_.ParallelFor(touched.size(),
+                    [&](std::size_t i) { body(touched[i]); });
+}
+
 Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
   std::vector<std::vector<EdgeUpdate>> per_shard(shards_.size());
   for (const EdgeUpdate& u : batch) {
@@ -246,11 +260,11 @@ Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
   }
   std::vector<RpcOutcome> outcomes(shards_.size());
   std::vector<std::uint8_t> handoff(shards_.size(), 0);
-  pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
-    if (per_shard[s].empty()) return;
-    handoff[s] = injector_.IsCrashed(s) ? 1 : 0;
-    outcomes[s] = DeliverUpdates(s, per_shard[s]);
-  });
+  FanOut([&](std::size_t s) { return !per_shard[s].empty(); },
+         [&](std::size_t s) {
+           handoff[s] = injector_.IsCrashed(s) ? 1 : 0;
+           outcomes[s] = DeliverUpdates(s, per_shard[s]);
+         });
   Status result = Status::Ok();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto& group = per_shard[s];
@@ -313,9 +327,11 @@ MultiRangeReport<Batch> GraphCluster::ShardRound(
   // every item's ids for that shard and answered by one flat response.
   std::vector<Batch> responses(shards_.size());
   std::vector<RpcOutcome> outcomes(shards_.size());
-  pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
+  const auto has_work = [&](std::size_t s) {
+    return !shard_groups[s].empty();
+  };
+  FanOut(has_work, [&](std::size_t s) {
     const std::vector<ShardGroup>& groups = shard_groups[s];
-    if (groups.empty()) return;
     outcomes[s] = RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
       Timer rpc;
       // Built in attempt-local storage, so a retry starts empty. `fill`

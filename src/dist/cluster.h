@@ -362,6 +362,13 @@ class GraphCluster {
       const std::vector<obs::Counter*>& shard_load, obs::Counter* degraded,
       Fill&& fill, Fallback&& fallback);
 
+  /// The fan-out step of every round: run body(s) for each shard s with
+  /// has_work(s). When only one shard has work it runs on the calling
+  /// thread, so a one-shard request wakes no worker; otherwise the pool
+  /// gets the shards with work and nothing else.
+  template <typename HasWork, typename Body>
+  void FanOut(HasWork&& has_work, Body&& body);
+
   /// Update delivery to one shard (crash handoff / retry loop). Pure
   /// w.r.t. stats_; the caller merges the outcome serially.
   RpcOutcome DeliverUpdates(std::size_t s,

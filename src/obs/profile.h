@@ -32,7 +32,7 @@
 namespace platod2gl::obs {
 
 enum class ProfileSite : std::uint8_t {
-  kSamtreeDescent = 0,  ///< one batched k-draw Sample{Weighted,Uniform}
+  kSamtreeDescent = 0,  ///< one batched k-draw SampleWeighted
   kBatchApply = 1,      ///< one BatchUpdater::ApplyBatch* call
   kWalShip = 2,         ///< one ReplicationManager shipping pass
   kNumSites = 3,

@@ -163,9 +163,7 @@ std::size_t MicroBatcher::PumpOnce(bool force) {
   std::vector<EdgeUpdate> folded;
   folded.reserve(accepted.size());
   for (const TimedUpdate& u : accepted) folded.push_back(u.update);
-  if (config_.coalesce) {
-    counters_.coalesced->Add(Coalesce(&folded));
-  }
+  counters_.coalesced->Add(Coalesce(&folded));
   std::vector<std::vector<EdgeUpdate>> by_relation(graph_->num_relations());
   if (graph_->num_relations() == 1) {
     by_relation[0] = std::move(folded);

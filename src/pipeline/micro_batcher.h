@@ -41,7 +41,6 @@ namespace platod2gl {
 struct MicroBatcherConfig {
   std::size_t max_batch = 4096;  ///< size trigger: apply at most this many
   std::size_t min_batch = 1;     ///< accumulate until this many (unforced)
-  bool coalesce = true;          ///< fold per-edge churn before applying
 };
 
 /// Micro-batcher counters, one row each: exported as

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "common/histogram.h"  // IWYU pragma: export
-#include "common/lru_cache.h"  // IWYU pragma: export
 #include "common/memory.h"     // IWYU pragma: export
 #include "common/random.h"     // IWYU pragma: export
 #include "common/status.h"     // IWYU pragma: export
@@ -26,13 +25,10 @@
 #include "core/samtree.h"         // IWYU pragma: export
 
 #include "storage/attribute_store.h"  // IWYU pragma: export
-#include "storage/bidirected_store.h" // IWYU pragma: export
 #include "storage/cuckoo_map.h"       // IWYU pragma: export
-#include "storage/edge_attributes.h"  // IWYU pragma: export
 #include "storage/graph_store.h"      // IWYU pragma: export
 #include "storage/topology_store.h"   // IWYU pragma: export
 
-#include "sampling/negative_sampler.h" // IWYU pragma: export
 #include "sampling/neighbor_sampler.h"  // IWYU pragma: export
 #include "sampling/node_sampler.h"      // IWYU pragma: export
 #include "sampling/subgraph_sampler.h"  // IWYU pragma: export
@@ -46,12 +42,9 @@
 #include "dist/shard.h"        // IWYU pragma: export
 #include "dist/wire.h"         // IWYU pragma: export
 
-#include "gnn/deepwalk.h"   // IWYU pragma: export
 #include "gnn/gcn_model.h"  // IWYU pragma: export
-#include "gnn/embedding.h"  // IWYU pragma: export
 #include "gnn/model.h"    // IWYU pragma: export
 #include "gnn/trainer.h"    // IWYU pragma: export
-#include "gnn/two_tower.h"  // IWYU pragma: export
 
 #include "pipeline/continuous_trainer.h"  // IWYU pragma: export
 #include "pipeline/epoch_coordinator.h"   // IWYU pragma: export
@@ -69,11 +62,9 @@
 #include "serve/request_batcher.h"  // IWYU pragma: export
 #include "serve/server.h"           // IWYU pragma: export
 
-#include "analytics/graph_metrics.h"  // IWYU pragma: export
 #include "io/checkpoint.h"         // IWYU pragma: export
 #include "io/edge_list_reader.h"   // IWYU pragma: export
 #include "temporal/edge_log.h"  // IWYU pragma: export
-#include "walk/random_walk.h"   // IWYU pragma: export
 
 #include "gen/datasets.h"    // IWYU pragma: export
 #include "gen/generators.h"  // IWYU pragma: export

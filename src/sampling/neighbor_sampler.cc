@@ -1,7 +1,5 @@
 #include "sampling/neighbor_sampler.h"
 
-#include <algorithm>
-
 namespace platod2gl {
 
 NeighborBatch NeighborSampler::Sample(const std::vector<VertexId>& seeds,
@@ -17,69 +15,6 @@ NeighborBatch NeighborSampler::Sample(const std::vector<VertexId>& seeds,
     batch.offsets.push_back(batch.neighbors.size());
   }
   return batch;
-}
-
-NeighborBatch NeighborSampler::SampleParallel(
-    const std::vector<VertexId>& seeds, const Options& options,
-    ThreadPool& pool, std::uint64_t seed) const {
-  // Over-decompose into many more chunks than threads: with one chunk per
-  // thread a single run of high-degree seeds stalls the whole batch, since
-  // per-seed sampling cost is proportional to tree height (and fanout).
-  // Finer chunks let the pool rebalance; each chunk samples straight out
-  // of the shared seed array instead of copying its slice.
-  constexpr std::size_t kChunksPerThread = 8;
-  const std::size_t num_chunks =
-      std::min(seeds.size(),
-               std::max<std::size_t>(1, pool.num_threads() * kChunksPerThread));
-  if (num_chunks == 0) {
-    NeighborBatch empty;
-    empty.offsets.push_back(0);
-    return empty;
-  }
-  const std::size_t chunk = (seeds.size() + num_chunks - 1) / num_chunks;
-
-  // One generator per chunk, split from a single base stream by jumping
-  // 2^128 steps per chunk (Xoshiro256::Jump): provably disjoint
-  // substreams of one seed, built once up front — generator construction
-  // and seeding stay out of the sampling loop entirely (the previous
-  // code re-expanded a SplitMix seed inside every chunk task).
-  std::vector<Xoshiro256> rngs;
-  rngs.reserve(num_chunks);
-  Xoshiro256 base(seed);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    rngs.push_back(base);
-    base.Jump();
-  }
-
-  std::vector<NeighborBatch> partials(num_chunks);
-  pool.ParallelFor(num_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(seeds.size(), begin + chunk);
-    if (begin >= end) return;
-    Xoshiro256& rng = rngs[c];
-    NeighborBatch& p = partials[c];
-    p.offsets.reserve(end - begin + 1);
-    p.offsets.push_back(0);
-    p.neighbors.reserve((end - begin) * options.fanout);
-    for (std::size_t i = begin; i < end; ++i) {
-      graph_->SampleNeighbors(seeds[i], options.fanout, options.weighted,
-                              rng, &p.neighbors, options.edge_type);
-      p.offsets.push_back(p.neighbors.size());
-    }
-  });
-
-  NeighborBatch out;
-  out.offsets.reserve(seeds.size() + 1);
-  out.offsets.push_back(0);
-  for (const NeighborBatch& p : partials) {
-    const std::size_t base = out.neighbors.size();
-    out.neighbors.insert(out.neighbors.end(), p.neighbors.begin(),
-                         p.neighbors.end());
-    for (std::size_t i = 1; i < p.offsets.size(); ++i) {
-      out.offsets.push_back(base + p.offsets[i]);
-    }
-  }
-  return out;
 }
 
 }  // namespace platod2gl

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 #include "storage/graph_store.h"
 
@@ -53,13 +52,6 @@ class NeighborSampler {
   /// an empty range.
   NeighborBatch Sample(const std::vector<VertexId>& seeds,
                        const Options& options, Xoshiro256& rng) const;
-
-  /// Parallel variant: seeds are split across the pool; per-thread RNGs
-  /// are derived from `seed` so results are deterministic for a fixed
-  /// thread count.
-  NeighborBatch SampleParallel(const std::vector<VertexId>& seeds,
-                               const Options& options, ThreadPool& pool,
-                               std::uint64_t seed) const;
 
  private:
   const GraphStore* graph_;

@@ -1,7 +1,6 @@
 #include "sampling/subgraph_sampler.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 namespace platod2gl {
 
@@ -32,54 +31,6 @@ SampledSubgraph SubgraphSampler::Sample(const std::vector<VertexId>& seeds,
     }
     sg.layers.push_back(std::move(next));
     sg.parents.push_back(std::move(parents));
-  }
-  return sg;
-}
-
-CompactSubgraph SubgraphSampler::SampleUnique(
-    const std::vector<VertexId>& seeds, const std::vector<Hop>& hops,
-    Xoshiro256& rng) const {
-  CompactSubgraph sg;
-  // Seeds dedup too (a batch may repeat a hot seed).
-  {
-    std::vector<VertexId> uniq;
-    std::unordered_map<VertexId, std::uint32_t> index;
-    for (VertexId s : seeds) {
-      if (index.emplace(s, uniq.size()).second) uniq.push_back(s);
-    }
-    sg.layers.push_back(std::move(uniq));
-  }
-
-  std::vector<VertexId> scratch;
-  for (const Hop& hop : hops) {
-    const std::vector<VertexId>& frontier = sg.layers.back();
-    std::vector<VertexId> next;
-    std::unordered_map<VertexId, std::uint32_t> index;
-    // Collect every sampled (parent, child) pair flat, then sort + unique
-    // once per hop: on skewed graphs the same hub pair is drawn
-    // fanout-fold, and a node-based std::set pays an allocation plus
-    // O(log n) pointer chasing per draw where the vector pays amortised
-    // O(1).
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(frontier.size() * hop.fanout);
-
-    for (std::uint32_t i = 0; i < frontier.size(); ++i) {
-      scratch.clear();
-      if (!graph_->SampleNeighbors(frontier[i], hop.fanout, hop.weighted,
-                                   rng, &scratch, hop.edge_type)) {
-        continue;
-      }
-      for (VertexId v : scratch) {
-        auto [it, inserted] =
-            index.emplace(v, static_cast<std::uint32_t>(next.size()));
-        if (inserted) next.push_back(v);
-        edges.emplace_back(i, it->second);
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    sg.layers.push_back(std::move(next));
-    sg.hop_edges.push_back(std::move(edges));
   }
   return sg;
 }

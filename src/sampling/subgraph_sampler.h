@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -23,28 +22,6 @@ namespace platod2gl {
 struct SampledSubgraph {
   std::vector<std::vector<VertexId>> layers;
   std::vector<std::vector<std::uint32_t>> parents;  // size = layers-1
-
-  std::size_t NumHops() const {
-    return layers.empty() ? 0 : layers.size() - 1;
-  }
-  std::size_t TotalVertices() const {
-    std::size_t n = 0;
-    for (const auto& l : layers) n += l.size();
-    return n;
-  }
-};
-
-/// Compact layered sample with per-layer *unique* vertices: node j of
-/// layers[l+1] appears once no matter how many frontier vertices sampled
-/// it, and hop l's sampled (parent, child) pairs are kept as index pairs
-/// into the adjacent layers. This is the deduplicated layout production
-/// trainers prefer — features are gathered and embeddings computed once
-/// per distinct vertex.
-struct CompactSubgraph {
-  std::vector<std::vector<VertexId>> layers;
-  /// hop_edges[l] holds (index into layers[l], index into layers[l+1]).
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      hop_edges;
 
   std::size_t NumHops() const {
     return layers.empty() ? 0 : layers.size() - 1;
@@ -74,14 +51,6 @@ class SubgraphSampler {
   /// expanding.
   SampledSubgraph Sample(const std::vector<VertexId>& seeds,
                          const std::vector<Hop>& hops, Xoshiro256& rng) const;
-
-  /// Like Sample(), but each layer keeps every vertex once (the heavily
-  /// re-sampled hubs of a skewed graph would otherwise be duplicated
-  /// fanout-fold) and sampled transitions become (parent, child) index
-  /// pairs. Duplicate draws of the same (parent, child) pair collapse.
-  CompactSubgraph SampleUnique(const std::vector<VertexId>& seeds,
-                               const std::vector<Hop>& hops,
-                               Xoshiro256& rng) const;
 
  private:
   const GraphStore* graph_;

@@ -288,26 +288,35 @@ TEST(ClusterFaultTest, CrashedShardDegradesOnlyItsOwnSeeds) {
 // item's batch in seed order. The test below puts several items, a retried
 // shard and a replica-served shard into one round.
 
-/// Four sampling items over vertices 1..100 (degree 5, PopulateFanout) and
+/// Five sampling items over vertices 1..100 (degree 5, PopulateFanout) and
 /// dangling ids >= 5000 (no out-edges), with duplicates, mixed fanouts and
-/// both weightings; the empty item rides in the middle. `round` shifts
-/// every RNG seed.
+/// both weightings; the empty item rides in the middle. The last item's
+/// seeds all live on shard kOneShard of a 4-shard cluster, so issued alone
+/// it takes the one-shard path. `round` shifts every RNG seed.
 struct MixedRound {
+  static constexpr std::size_t kOneShard = 2;
+
   std::vector<std::vector<VertexId>> seeds{
       {},  // filled below: 1..40 then duplicates and a dangling id
       {100, 98, 96, 94, 92, 90, 88, 86, 84, 82, 80, 78, 76, 74, 72, 70,
        68, 66, 64, 62, 60, 58, 56, 54, 52, 50, 48, 46, 44, 42, 5001, 42, 42},
       {},
-      {5002, 3, 99, 3, 60, 5003, 41}};
+      {5002, 3, 99, 3, 60, 5003, 41},
+      {}};  // filled below: shard kOneShard's first 8 vertices, a duplicate
 
   MixedRound() {
     for (VertexId v = 1; v <= 40; ++v) seeds[0].push_back(v);
     seeds[0].insert(seeds[0].end(), {7, 7, 5000, 1});
+    const HashBySourcePartitioner partitioner(4);
+    for (VertexId v = 1; v <= 100 && seeds[4].size() < 8; ++v) {
+      if (partitioner.ShardOf(v) == kOneShard) seeds[4].push_back(v);
+    }
+    seeds[4].push_back(seeds[4].front());
   }
 
   std::vector<SampleWorkItem> Sample(std::uint64_t round) const {
-    const std::size_t fanout[] = {3, 7, 2, 1};
-    const bool weighted[] = {true, false, true, true};
+    const std::size_t fanout[] = {3, 7, 2, 1, 4};
+    const bool weighted[] = {true, false, true, true, true};
     std::vector<SampleWorkItem> work(seeds.size());
     for (std::size_t i = 0; i < work.size(); ++i) {
       work[i].seeds = &seeds[i];
@@ -370,6 +379,10 @@ TEST(ClusterFaultTest, MultiItemRoundMatchesSoloUnderFaultsAndFallback) {
     }
   }
   ASSERT_EQ(shards_hit.size(), control.num_shards());
+  ASSERT_EQ(mixed.seeds[4].size(), 9u);
+  for (VertexId v : mixed.seeds[4]) {
+    ASSERT_EQ(control.partitioner().ShardOf(v), MixedRound::kOneShard);
+  }
 
   std::vector<MultiSampleReport> want(kRounds);
   for (std::uint64_t round = 0; round < kRounds; ++round) {
@@ -441,7 +454,8 @@ TEST(ClusterFaultTest, MultiItemRoundMatchesSoloUnderFaultsAndFallback) {
   GraphCluster replicated(replicated_cfg);
   PopulateFanout(&replicated);
   ASSERT_TRUE(replicated.FlushReplication().ok());
-  constexpr std::size_t kVictim = 2;
+  // The one-shard item's shard: its solo round falls back to the replica.
+  constexpr std::size_t kVictim = MixedRound::kOneShard;
   replicated.CrashShard(kVictim);
   const auto on_victim = [&](VertexId v) {
     return replicated.partitioner().ShardOf(v) == kVictim;

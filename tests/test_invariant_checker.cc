@@ -17,7 +17,6 @@
 #include "core/samtree.h"
 #include "index/cstable.h"
 #include "index/fstable.h"
-#include "common/lru_cache.h"
 #include "storage/topology_store.h"
 
 namespace platod2gl {
@@ -149,20 +148,6 @@ TEST(SamtreeInvariantTest, InternalCorruptionNeedsMultiLevelTree) {
   EXPECT_FALSE(tree.CorruptForTest(TestCorruption::kMinId));
   std::string err;
   EXPECT_TRUE(tree.CheckInvariants(&err)) << err;  // refusal left it intact
-}
-
-TEST(LruCacheInvariantTest, HealthyCachePasses) {
-  LruCache<int, int> cache(4);
-  std::string err;
-  EXPECT_TRUE(cache.CheckInvariants(&err)) << err;  // empty
-  for (int i = 0; i < 10; ++i) {
-    cache.Put(i, i * i);
-    EXPECT_TRUE(cache.CheckInvariants(&err)) << err;
-  }
-  EXPECT_EQ(cache.size(), 4u);  // capacity bound held via evictions
-  cache.Get(7);
-  cache.Clear();
-  EXPECT_TRUE(cache.CheckInvariants(&err)) << err;
 }
 
 TEST(TopologyStoreInvariantTest, DetectsEdgeCounterDrift) {

@@ -323,24 +323,6 @@ TEST(PipelineDeterminism, StoreMatchesSequentialReplayOfItsLog) {
   }
 }
 
-TEST(PipelineDeterminism, CoalesceOnAndOffConverge) {
-  const std::vector<TimedUpdate> trace = MakeTrace(8000, 7, 32);
-  std::vector<std::vector<CanonEdge>> results;
-  for (const bool coalesce : {true, false}) {
-    Pipeline p(IngestorConfig{}, MicroBatcherConfig{.max_batch = 512,
-                                                    .coalesce = coalesce});
-    for (const TimedUpdate& u : trace) ASSERT_TRUE(p.ingestor.Offer(u).ok());
-    p.batcher.Flush();
-    results.push_back(CanonicalEdges(p.graph));
-    if (coalesce) {
-      EXPECT_GT(p.batcher.Stats().coalesced, 0u);
-    } else {
-      EXPECT_EQ(p.batcher.Stats().coalesced, 0u);
-    }
-  }
-  EXPECT_EQ(results[0], results[1]);
-}
-
 TEST(PipelineDeterminism, MultiRelationRouting) {
   const std::vector<TimedUpdate> trace = MakeTrace(6000, 3, 48, 3);
   GraphStoreConfig gcfg;

@@ -5,7 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/node_sampler.h"
 #include "sampling/subgraph_sampler.h"
@@ -40,24 +39,6 @@ TEST(NeighborSamplerTest, BatchLayoutAndMembership) {
   }
   for (std::size_t j = batch.offsets[3]; j < batch.offsets[4]; ++j) {
     EXPECT_GE(batch.neighbors[j], 1001u);
-  }
-}
-
-TEST(NeighborSamplerTest, ParallelMatchesLayout) {
-  GraphStore g;
-  FillStarGraph(&g);
-  NeighborSampler sampler(&g);
-  ThreadPool pool(4);
-  std::vector<VertexId> seeds;
-  for (int i = 0; i < 100; ++i) seeds.push_back((i % 10) + 1);
-  const NeighborBatch batch =
-      sampler.SampleParallel(seeds, {.fanout = 5}, pool, /*seed=*/3);
-  ASSERT_EQ(batch.NumSeeds(), 100u);
-  EXPECT_EQ(batch.neighbors.size(), 500u);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    for (std::size_t j = batch.offsets[i]; j < batch.offsets[i + 1]; ++j) {
-      EXPECT_EQ(batch.neighbors[j] / 100, seeds[i]) << "seed " << seeds[i];
-    }
   }
 }
 
@@ -170,66 +151,6 @@ TEST(SubgraphSamplerTest, EmptySeedsAndNoHops) {
   EXPECT_EQ(zero_hops.NumHops(), 0u);
 }
 
-
-TEST(CompactSubgraphTest, LayersAreUniqueAndEdgesValid) {
-  // A hub-heavy graph: every seed links to the same hub, which would be
-  // duplicated fanout-fold in the non-compact layout.
-  GraphStore g;
-  for (VertexId s = 1; s <= 8; ++s) g.AddEdge({s, 1000, 1.0, 0});
-  g.AddEdge({1000, 2000, 1.0, 0});
-  SubgraphSampler sampler(&g);
-  Xoshiro256 rng(31);
-  const CompactSubgraph sg = sampler.SampleUnique(
-      {1, 2, 3, 4, 5, 6, 7, 8}, {{.fanout = 4}, {.fanout = 4}}, rng);
-
-  ASSERT_EQ(sg.layers.size(), 3u);
-  EXPECT_EQ(sg.layers[1], (std::vector<VertexId>{1000}))
-      << "the hub appears exactly once";
-  EXPECT_EQ(sg.layers[2], (std::vector<VertexId>{2000}));
-  // Every seed has an edge to the hub; duplicate draws collapsed.
-  EXPECT_EQ(sg.hop_edges[0].size(), 8u);
-  for (const auto& [p, c] : sg.hop_edges[0]) {
-    EXPECT_LT(p, sg.layers[0].size());
-    EXPECT_EQ(c, 0u);
-  }
-  EXPECT_EQ(sg.hop_edges[1].size(), 1u);
-  EXPECT_EQ(sg.TotalVertices(), 8u + 1u + 1u);
-}
-
-TEST(CompactSubgraphTest, SeedDeduplication) {
-  GraphStore g;
-  g.AddEdge({1, 2, 1.0, 0});
-  SubgraphSampler sampler(&g);
-  Xoshiro256 rng(32);
-  const CompactSubgraph sg =
-      sampler.SampleUnique({1, 1, 1}, {{.fanout = 2}}, rng);
-  EXPECT_EQ(sg.layers[0], (std::vector<VertexId>{1}));
-  EXPECT_EQ(sg.layers[1], (std::vector<VertexId>{2}));
-}
-
-TEST(CompactSubgraphTest, EdgePairsReferenceRealEdges) {
-  GraphStore g;
-  Xoshiro256 gen(33);
-  std::set<std::pair<VertexId, VertexId>> edges;
-  for (VertexId v = 0; v < 20; ++v) {
-    for (int k = 0; k < 3; ++k) {
-      const VertexId u = gen.NextUint64(20);
-      if (u != v && edges.insert({v, u}).second) g.AddEdge({v, u, 1.0, 0});
-    }
-  }
-  SubgraphSampler sampler(&g);
-  Xoshiro256 rng(34);
-  const CompactSubgraph sg = sampler.SampleUnique(
-      {0, 1, 2, 3, 4}, {{.fanout = 3}, {.fanout = 3}}, rng);
-  for (std::size_t hop = 0; hop < sg.hop_edges.size(); ++hop) {
-    for (const auto& [p, c] : sg.hop_edges[hop]) {
-      ASSERT_LT(p, sg.layers[hop].size());
-      ASSERT_LT(c, sg.layers[hop + 1].size());
-      EXPECT_TRUE(edges.count({sg.layers[hop][p], sg.layers[hop + 1][c]}))
-          << sg.layers[hop][p] << "->" << sg.layers[hop + 1][c];
-    }
-  }
-}
 
 }  // namespace
 }  // namespace platod2gl

@@ -330,24 +330,6 @@ TEST(AliasTableBatched, SampleBatchMatchesRepeatedSample) {
   }
 }
 
-// --- Xoshiro jump streams (parallel sampler substreams) -----------------
-
-TEST(XoshiroJump, JumpedStreamsAreDeterministicAndDistinct) {
-  Xoshiro256 a(99);
-  Xoshiro256 b(99);
-  b.Jump();
-  // Deterministic: jumping an identical copy lands on the same stream.
-  Xoshiro256 c(99);
-  c.Jump();
-  bool any_diff = false;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint64_t xb = b.Next();
-    ASSERT_EQ(xb, c.Next());
-    if (xb != a.Next()) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff) << "jump left the stream in place";
-}
-
 // --- Samtree lifecycle (ASan/UBSan-clean by construction) ---------------
 
 TEST(SamtreeLifecycle, BuildMutateSampleDestroyReleasesEverything) {

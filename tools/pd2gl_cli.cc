@@ -5,7 +5,7 @@
 //   pd2gl load <edges.txt> <out.ckpt>
 //       parse a text edge list and write a binary checkpoint
 //   pd2gl stats <edges.txt | graph.ckpt>
-//       degree distribution, components, PageRank top-10, triangles
+//       degree summary and log2 degree histogram, topology memory
 //   pd2gl sample <edges.txt | graph.ckpt> <vertex> <k>
 //       draw k weighted neighbours of a vertex
 //   pd2gl verify-store <edges.txt | graph.ckpt>
@@ -38,6 +38,7 @@
 //       clock; `worst` picks the highest-latency retained trace
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -169,37 +170,32 @@ int CmdStats(int argc, char** argv) {
   GraphStore graph(EightRelations());
   if (!LoadAnyGraph(argv[0], &graph)) return 1;
 
-  const TopologyStore& topo = graph.topology(0);
-  const DegreeStats deg = ComputeDegreeStats(topo);
+  // Degree summary of relation 0's sources; histogram bucket b counts
+  // sources with degree in [2^b, 2^{b+1}).
+  std::size_t sources = 0, edges = 0, max_degree = 0;
+  std::vector<std::size_t> histogram;
+  graph.topology(0).ForEachSource([&](VertexId, const Samtree& tree) {
+    const std::size_t deg = tree.size();
+    if (deg == 0) return;
+    ++sources;
+    edges += deg;
+    max_degree = std::max(max_degree, deg);
+    const std::size_t bucket =
+        static_cast<std::size_t>(std::bit_width(deg)) - 1;
+    if (histogram.size() <= bucket) histogram.resize(bucket + 1, 0);
+    ++histogram[bucket];
+  });
   std::printf("sources: %zu   edges: %zu   mean degree: %.2f   max "
               "degree: %zu\n",
-              deg.num_sources, deg.num_edges, deg.mean_degree,
-              deg.max_degree);
+              sources, edges,
+              sources == 0 ? 0.0 : static_cast<double>(edges) / sources,
+              max_degree);
   std::printf("degree histogram (log2 buckets):");
-  for (std::size_t b = 0; b < deg.log2_histogram.size(); ++b) {
-    std::printf(" [2^%zu]=%zu", b, deg.log2_histogram[b]);
+  for (std::size_t b = 0; b < histogram.size(); ++b) {
+    std::printf(" [2^%zu]=%zu", b, histogram[b]);
   }
   std::printf("\n");
 
-  const auto cc = ConnectedComponents(topo);
-  std::printf("vertices: %zu   connected components (undirected view): "
-              "%zu\n",
-              cc.size(), NumComponents(cc));
-
-  const auto pr = PageRank(topo);
-  std::vector<std::pair<double, VertexId>> top;
-  for (const auto& [v, r] : pr) top.emplace_back(r, v);
-  std::sort(top.rbegin(), top.rend());
-  std::printf("PageRank top-10:");
-  for (std::size_t i = 0; i < std::min<std::size_t>(10, top.size()); ++i) {
-    std::printf(" %llu(%.4f)", (unsigned long long)top[i].second,
-                top[i].first);
-  }
-  std::printf("\n");
-
-  Xoshiro256 rng(7);
-  std::printf("triangle estimate (50k wedge samples): %.0f\n",
-              EstimateTriangles(topo, 50000, rng));
   const MemoryBreakdown mem = graph.TopologyMemory();
   std::printf("topology memory: %s\n", HumanBytes(mem.Total()).c_str());
   return 0;
