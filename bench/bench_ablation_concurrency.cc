@@ -10,15 +10,32 @@
 // degenerates to sequential-with-uncontended-locks) can win; what remains
 // observable is that latch-free's *overhead stays bounded* (well within ~2x
 // of sequential here) while providing the multi-core path.
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
-#include "concurrency/batch_updater.h"
 
 using namespace platod2gl;
 using namespace platod2gl::bench;
+
+namespace {
+
+// The latch-based reference (Fig. 11(c)'s implicit baseline): threads race
+// over the raw batch and take the map-shard latch for every update. ~8
+// blocks per worker keep the task queue cold while still letting the pool
+// rebalance when a block lands on a run of expensive updates (deep trees,
+// splits).
+void ApplyLatchBased(TopologyStore* store, ThreadPool* pool,
+                     const std::vector<EdgeUpdate>& batch) {
+  const std::size_t grain = std::max<std::size_t>(
+      16, batch.size() / (pool->num_threads() * 8));
+  pool->ParallelFor(
+      batch.size(), [&](std::size_t i) { store->Apply(batch[i]); }, grain);
+}
+
+}  // namespace
 
 int main() {
   std::printf("=== Ablation: latch-free vs latch-based batch updates ===\n");
@@ -43,10 +60,8 @@ int main() {
   {
     TopologyStore store;
     preload(&store);
-    ThreadPool pool(1);
-    BatchUpdater updater(&store, &pool);
     Timer t;
-    updater.ApplySequential(ops);
+    for (const EdgeUpdate& u : ops) store.Apply(u);
     std::printf("%-22s %10.2f ms\n", "sequential", t.ElapsedMillis());
   }
 
@@ -56,14 +71,12 @@ int main() {
     preload(&b);
     ThreadPool pool(threads);
 
-    BatchUpdater free_updater(&a, &pool);
     Timer t1;
-    free_updater.ApplyBatch(ops);
+    a.ApplyBatch(ops, &pool);
     const double latch_free = t1.ElapsedMillis();
 
-    BatchUpdater latch_updater(&b, &pool);
     Timer t2;
-    latch_updater.ApplyBatchLatchBased(ops);
+    ApplyLatchBased(&b, &pool, ops);
     const double latch_based = t2.ElapsedMillis();
 
     std::printf("%zu thread(s):  latch-free %10.2f ms   latch-based "

@@ -10,12 +10,12 @@
 //   (d) total insertion time by slackness alpha: larger alpha -> faster
 //       splits -> less time.
 #include <cstdio>
+#include <span>
 #include <thread>
 
 #include "baselines/samtree_store.h"
 #include "bench_util.h"
 #include "common/thread_pool.h"
-#include "concurrency/batch_updater.h"
 #include "core/alpha_split.h"
 
 using namespace platod2gl;
@@ -44,16 +44,14 @@ int main() {
   {
     TopologyStore store;
     ThreadPool pool(8);
-    BatchUpdater updater(&store, &pool);
     std::size_t cursor = 0;
     for (int logn = 12; logn <= 17; ++logn) {
       const std::size_t n = 1u << logn;
       if (cursor + n > stream.size()) cursor = 0;
-      std::vector<EdgeUpdate> batch(stream.begin() + cursor,
-                                    stream.begin() + cursor + n);
+      const std::span<const EdgeUpdate> batch(stream.data() + cursor, n);
       cursor += n;
       Timer t;
-      updater.ApplyBatch(std::move(batch));
+      store.ApplyBatch(batch, &pool);
       std::printf("  batch 2^%-3d %10.2f ms\n", logn, t.ElapsedMillis());
     }
   }
@@ -92,11 +90,10 @@ int main() {
       sp.insert_fraction = 0.4;
       sp.update_fraction = 0.4;
       sp.seed = 17;
-      std::vector<EdgeUpdate> batch = MakeUpdateStream(ds.edges, sp);
+      const std::vector<EdgeUpdate> batch = MakeUpdateStream(ds.edges, sp);
       ThreadPool pool(threads);
-      BatchUpdater updater(&target, &pool);
       Timer t;
-      updater.ApplyBatch(std::move(batch));
+      target.ApplyBatch(batch, &pool);
       std::printf(" %9.2fms", t.ElapsedMillis());
     }
     std::printf("\n");

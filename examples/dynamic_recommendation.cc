@@ -3,10 +3,10 @@
 //
 // A heterogeneous user/live-room graph receives a continuous stream of
 // interaction batches (applied latch-free through the PALM-style batch
-// updater) while recommendation queries concurrently sample fresh
-// neighbourhoods. Demonstrates that new interactions influence the
-// sampling distribution immediately — the freshness property a dynamic
-// store exists for.
+// apply, GraphStore::ApplyBatch) while recommendation queries
+// concurrently sample fresh neighbourhoods. Demonstrates that new
+// interactions influence the sampling distribution immediately — the
+// freshness property a dynamic store exists for.
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -53,13 +53,12 @@ int main() {
 
   GraphStore graph;
   ThreadPool pool(4);
-  BatchUpdater updater(&graph.topology(0), &pool);
   {
     std::vector<EdgeUpdate> batch;
     batch.reserve(bootstrap.size());
     for (const Edge& e : bootstrap) batch.push_back({UpdateKind::kInsert, e});
     Timer t;
-    updater.ApplyBatch(std::move(batch));
+    graph.ApplyBatch(batch, &pool);
     std::printf("bootstrap: %zu interactions ingested in %.1f ms "
                 "(latch-free, %zu threads)\n\n",
                 graph.NumEdges(), t.ElapsedMillis(), pool.num_threads());
@@ -105,7 +104,7 @@ int main() {
                           0.1 + noise.NextDouble(), 0}});
   }
   Timer t;
-  updater.ApplyBatch(std::move(burst));
+  graph.ApplyBatch(burst, &pool);
   std::printf("burst of %d interactions applied in %.1f ms\n", 10001,
               t.ElapsedMillis());
 

@@ -1,5 +1,5 @@
-// Fixed-size worker pool used by the batch updater, the micro-batcher and
-// the distributed-shard simulation.
+// Fixed-size worker pool used by the micro-batcher's latch-free batch apply
+// and the distributed-shard simulation.
 //
 // ParallelFor is the only entry point, and each call waits for its own
 // tasks only, so threads sharing one pool never wait for each other's

@@ -209,7 +209,7 @@ GraphCluster::RpcOutcome GraphCluster::DeliverUpdates(
     RpcOutcome out;
     out.attempts = 1;
     out.virtual_us = config_.rpc_latency_us;
-    for (const EdgeUpdate& u : group) shards_[s]->Apply(u);
+    shards_[s]->ApplyBatch(group);
     out.delivered = true;
     out.resp_bytes = 1;  // ack
     return out;
@@ -222,7 +222,7 @@ GraphCluster::RpcOutcome GraphCluster::DeliverUpdates(
       return false;
     }
     Timer rpc;
-    for (const EdgeUpdate& u : group) shards_[s]->Apply(u);
+    shards_[s]->ApplyBatch(group);
     rpc_latency_.RecordMicros(rpc.ElapsedMicros());
     out.resp_bytes += 1;  // ack
     return true;

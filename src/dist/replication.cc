@@ -326,23 +326,29 @@ void ReplicationManager::DeliverAppend(const std::string& bytes,
     case wire::DecodeResult::kOk:
       break;
   }
+  // Collect the run that extends applied_seq, then apply it as one batch.
+  std::vector<EdgeUpdate> run;
+  run.reserve(msg.entries.size());
+  std::uint64_t applied = rep.applied_seq;
   for (const wire::RepLogEntry& e : msg.entries) {
-    if (e.seq <= rep.applied_seq) {
+    if (e.seq <= applied) {
       // At-least-once transport: silently skip the duplicate prefix.
       counters_.duplicate_entries->Add();
       continue;
     }
-    if (e.seq != rep.applied_seq + 1) {
+    if (e.seq != applied + 1) {
       // Gap (a predecessor was dropped or is still in flight behind a
       // reorder): refuse the suffix; the next ship round retransmits
       // from applied_seq + 1.
       counters_.rejected_appends->Add();
-      return;
+      break;
     }
-    rep.store->Apply(e.update);
-    rep.applied_seq = e.seq;
-    counters_.entries_applied->Add();
+    run.push_back(e.update);
+    applied = e.seq;
   }
+  rep.store->ApplyBatch(run);
+  rep.applied_seq = applied;
+  counters_.entries_applied->Add(run.size());
 }
 
 void ReplicationManager::MarkIncompatible(Replica& rep) {
@@ -638,17 +644,18 @@ ReplicationManager::AntiEntropyReport ReplicationManager::RunAntiEntropy(
       }
       report.digest_mismatches += 1;
       repaired = true;
-      // Repair = re-ship the bucket delta: drop everything the replica
-      // holds in the bucket, then re-insert the primary's bucket edges.
-      // Delete-then-insert handles both phantom and missing edges.
+      // Repair = re-ship the bucket delta as one batch: drop everything
+      // the replica holds in the bucket, then re-insert the primary's
+      // bucket edges. Delete-then-insert handles both phantom and missing
+      // edges.
+      std::vector<EdgeUpdate> delta;
       for (const Edge& e : BucketEdges(*rep.store, config_.digest_buckets, b)) {
-        rep.store->Apply(EdgeUpdate{UpdateKind::kDelete, e});
+        delta.push_back({UpdateKind::kDelete, e});
       }
       const std::vector<Edge> truth =
           BucketEdges(pri->store(), config_.digest_buckets, b);
-      for (const Edge& e : truth) {
-        rep.store->Apply(EdgeUpdate{UpdateKind::kInsert, e});
-      }
+      for (const Edge& e : truth) delta.push_back({UpdateKind::kInsert, e});
+      rep.store->ApplyBatch(delta);
       report.repaired_edges += truth.size();
     }
     if (repaired) report.repaired_replicas += 1;

@@ -10,15 +10,17 @@ namespace platod2gl {
 GraphShard::GraphShard(GraphStoreConfig config)
     : config_(config), store_(std::make_unique<GraphStore>(config)) {}
 
-void GraphShard::Apply(const EdgeUpdate& update) {
+void GraphShard::ApplyBatch(std::span<const EdgeUpdate> batch) {
+  MutexLock writer(writer_mu_);
   {
     // WAL first: the sequence number is strictly increasing, so Append can
     // never hit a time regression here. Locked because a replication pump
     // may be reading a window concurrently (docs/replication.md).
     SpinlockGuard g(wal_mu_);
-    wal_.Append(++wal_seq_, update);
+    for (const EdgeUpdate& u : batch) wal_.Append(++wal_seq_, u);
   }
-  if (!crashed()) store_->Apply(update);
+  // No pool: shards already run inside the cluster's fan-out.
+  if (!crashed()) store_->ApplyBatch(batch);
 }
 
 bool GraphShard::SampleNeighbors(VertexId src, std::size_t k, bool weighted,

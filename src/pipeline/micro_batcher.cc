@@ -40,17 +40,13 @@ MicroBatcher::MicroBatcher(GraphStore* graph, ThreadPool* pool,
                            TemporalEdgeLog* log, MicroBatcherConfig config,
                            obs::MetricRegistry* metrics)
     : graph_(graph),
+      pool_(pool),
       ingestor_(ingestor),
       epochs_(epochs),
       log_(log),
       config_(config) {
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
   config_.min_batch = std::max<std::size_t>(1, config_.min_batch);
-  updaters_.reserve(graph_->num_relations());
-  for (std::size_t rel = 0; rel < graph_->num_relations(); ++rel) {
-    updaters_.push_back(std::make_unique<BatchUpdater>(
-        &graph_->topology(static_cast<EdgeType>(rel)), pool));
-  }
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricRegistry>();
     metrics = owned_metrics_.get();
@@ -158,32 +154,18 @@ std::size_t MicroBatcher::PumpOnce(bool force) {
   }
   if (accepted.empty()) return take;
 
-  // Coalesce per-edge churn, then split the folded batch by relation for
-  // the per-relation latch-free updaters.
+  // Coalesce per-edge churn.
   std::vector<EdgeUpdate> folded;
   folded.reserve(accepted.size());
   for (const TimedUpdate& u : accepted) folded.push_back(u.update);
   counters_.coalesced->Add(Coalesce(&folded));
-  std::vector<std::vector<EdgeUpdate>> by_relation(graph_->num_relations());
-  if (graph_->num_relations() == 1) {
-    by_relation[0] = std::move(folded);
-  } else {
-    for (const EdgeUpdate& u : folded) {
-      by_relation[u.edge.type].push_back(u);
-    }
-  }
 
   {
     // Exclusive apply: pinned readers drained, new ones held out until
     // the epoch advances with the guard's release.
     EpochCoordinator::WriteGuard write = epochs_->BeginWrite();
-    std::size_t applied = 0;
-    for (std::size_t rel = 0; rel < by_relation.size(); ++rel) {
-      if (by_relation[rel].empty()) continue;
-      applied += by_relation[rel].size();
-      updaters_[rel]->ApplyBatch(std::move(by_relation[rel]));
-    }
-    counters_.updates_applied->Add(applied);
+    graph_->ApplyBatch(folded, pool_);
+    counters_.updates_applied->Add(folded.size());
     applied_watermark_.store(accepted.back().timestamp,
                              std::memory_order_release);
   }

@@ -7,9 +7,9 @@
 // replay of the log always reproduces the live store, (3) coalesces
 // insert/update/delete churn on the same edge down to one
 // state-equivalent update per edge, and (4) applies the folded batch
-// through the latch-free BatchUpdater of the edge's relation, inside the
-// EpochCoordinator's write barrier so pinned readers never observe a
-// half-applied batch.
+// through the store's latch-free batch apply (GraphStore::ApplyBatch on
+// the batcher's pool), inside the EpochCoordinator's write barrier so
+// pinned readers never observe a half-applied batch.
 //
 // Batching triggers: `max_batch` is the size trigger (a pump applies at
 // most that many updates and carries the rest), `min_batch` lets small
@@ -29,7 +29,6 @@
 
 #include "common/thread_pool.h"
 #include "common/types.h"
-#include "concurrency/batch_updater.h"
 #include "obs/metrics.h"
 #include "pipeline/epoch_coordinator.h"
 #include "pipeline/update_ingestor.h"
@@ -101,11 +100,11 @@ class MicroBatcher {
 
  private:
   GraphStore* graph_;
+  ThreadPool* pool_;
   UpdateIngestor* ingestor_;
   EpochCoordinator* epochs_;
   TemporalEdgeLog* log_;
   MicroBatcherConfig config_;
-  std::vector<std::unique_ptr<BatchUpdater>> updaters_;  // one per relation
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
   // The pd2gl_micro_batcher_* handles, one per list row.

@@ -33,8 +33,6 @@
 #include "sampling/node_sampler.h"      // IWYU pragma: export
 #include "sampling/subgraph_sampler.h"  // IWYU pragma: export
 
-#include "concurrency/batch_updater.h"  // IWYU pragma: export
-
 #include "dist/cluster.h"      // IWYU pragma: export
 #include "dist/fault_injector.h"  // IWYU pragma: export
 #include "dist/partitioner.h"  // IWYU pragma: export

@@ -12,7 +12,7 @@
 //     when an eviction walk fails.
 //
 // Values are heap-allocated so their addresses stay stable across rehashes:
-// the batch updater mutates samtrees through raw pointers while other
+// TopologyStore::ApplyBatch mutates samtrees through raw pointers while other
 // threads may be inserting new vertices.
 //
 // Locking discipline (checked by clang -Wthread-safety): every bucket

@@ -25,8 +25,21 @@ void GraphStore::Apply(const EdgeUpdate& update) {
   relations_.at(update.edge.type)->Apply(update);
 }
 
-void GraphStore::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
-  for (const EdgeUpdate& u : batch) Apply(u);
+void GraphStore::ApplyBatch(std::span<const EdgeUpdate> batch,
+                            ThreadPool* pool) {
+  if (batch.empty()) return;
+  const EdgeType type = batch.front().edge.type;
+  if (std::all_of(batch.begin(), batch.end(), [&](const EdgeUpdate& u) {
+        return u.edge.type == type;
+      })) {
+    relations_.at(type)->ApplyBatch(batch, pool);
+    return;
+  }
+  std::vector<std::vector<EdgeUpdate>> by_relation(relations_.size());
+  for (const EdgeUpdate& u : batch) by_relation.at(u.edge.type).push_back(u);
+  for (std::size_t rel = 0; rel < by_relation.size(); ++rel) {
+    relations_[rel]->ApplyBatch(by_relation[rel], pool);
+  }
 }
 
 bool GraphStore::HasEdge(VertexId src, VertexId dst, EdgeType type) const {

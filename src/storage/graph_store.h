@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/memory.h"
@@ -40,12 +41,16 @@ class GraphStore {
   /// Insert one edge of its relation; refreshes weight if present.
   void AddEdge(const Edge& e);
 
-  /// Apply a single dynamic update.
+  /// Apply a single dynamic update: the sequential oracle a batch must
+  /// match (see TopologyStore::Apply).
   void Apply(const EdgeUpdate& update);
 
-  /// Apply a batch of updates sequentially (the concurrent path lives in
-  /// concurrency/batch_updater.h).
-  void ApplyBatch(const std::vector<EdgeUpdate>& batch);
+  /// Apply a batch through each relation's latch-free batch apply
+  /// (TopologyStore::ApplyBatch; `pool` is passed through). The contents
+  /// equal applying the batch in order through Apply, and without a pool
+  /// so do the snapshot bytes.
+  void ApplyBatch(std::span<const EdgeUpdate> batch,
+                  ThreadPool* pool = nullptr);
 
   bool HasEdge(VertexId src, VertexId dst, EdgeType type = 0) const;
   std::optional<Weight> EdgeWeight(VertexId src, VertexId dst,

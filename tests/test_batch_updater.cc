@@ -1,16 +1,17 @@
-// BatchUpdater tests: the latch-free PALM-style path must be semantically
-// identical to sequential application (paper Section VI-B / Appendix B).
-#include "concurrency/batch_updater.h"
-
+// Latch-free batch apply tests: TopologyStore::ApplyBatch, the PALM-style
+// path, must be semantically identical to sequential application through
+// TopologyStore::Apply (paper Section VI-B / Appendix B).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "gen/generators.h"
+#include "storage/topology_store.h"
 
 namespace platod2gl {
 namespace {
@@ -59,20 +60,19 @@ std::vector<EdgeUpdate> RandomBatch(std::size_t n, std::uint64_t seed) {
 TEST(BatchUpdaterTest, EmptyBatchIsNoop) {
   TopologyStore store;
   ThreadPool pool(4);
-  BatchUpdater updater(&store, &pool);
-  updater.ApplyBatch({});
+  store.ApplyBatch({}, &pool);
   EXPECT_EQ(store.NumEdges(), 0u);
+  EXPECT_EQ(store.NumSources(), 0u);
 }
 
 TEST(BatchUpdaterTest, SingleSourceBatch) {
   TopologyStore store;
   ThreadPool pool(4);
-  BatchUpdater updater(&store, &pool);
   std::vector<EdgeUpdate> batch;
   for (VertexId d = 1; d <= 100; ++d) {
     batch.push_back({UpdateKind::kInsert, Edge{7, d, 1.0, 0}});
   }
-  updater.ApplyBatch(batch);
+  store.ApplyBatch(batch, &pool);
   EXPECT_EQ(store.Degree(7), 100u);
   EXPECT_EQ(store.NumEdges(), 100u);
 }
@@ -82,7 +82,6 @@ TEST(BatchUpdaterTest, PerEdgeOrderPreservedWithinBatch) {
   // delete-then-insert must end present. The stable sort keeps order.
   TopologyStore store;
   ThreadPool pool(4);
-  BatchUpdater updater(&store, &pool);
   store.AddEdge(1, 5, 1.0);
   std::vector<EdgeUpdate> batch = {
       {UpdateKind::kInsert, Edge{2, 9, 1.0, 0}},
@@ -90,7 +89,7 @@ TEST(BatchUpdaterTest, PerEdgeOrderPreservedWithinBatch) {
       {UpdateKind::kDelete, Edge{1, 5, 0.0, 0}},
       {UpdateKind::kInsert, Edge{1, 5, 3.0, 0}},
   };
-  updater.ApplyBatch(batch);
+  store.ApplyBatch(batch, &pool);
   EXPECT_FALSE(store.HasEdge(2, 9));
   ASSERT_TRUE(store.HasEdge(1, 5));
   EXPECT_NEAR(*store.EdgeWeight(1, 5), 3.0, 1e-12);
@@ -105,26 +104,26 @@ TEST_P(BatchUpdaterEquivalence, LatchFreeMatchesSequential) {
 
   TopologyStore seq_store, par_store;
   ThreadPool pool(threads);
-  BatchUpdater seq(&seq_store, &pool), par(&par_store, &pool);
-  seq.ApplySequential(batch);
-  par.ApplyBatch(batch);
+  for (const EdgeUpdate& u : batch) seq_store.Apply(u);
+  par_store.ApplyBatch(batch, &pool);
 
   EXPECT_EQ(par_store.NumEdges(), seq_store.NumEdges());
   ExpectSameContents(seq_store, par_store);
 }
 
 TEST_P(BatchUpdaterEquivalence, LatchBasedMatchesSequentialForInserts) {
-  // The latch-based mode has no cross-thread ordering guarantees for
-  // conflicting ops, so compare on an insert-only (commutative) batch.
+  // The latch-based reference (threads race over the raw batch, one
+  // map-shard latch per update) has no cross-thread ordering guarantees
+  // for conflicting ops, so compare on an insert-only (commutative) batch.
   const auto [threads, seed] = GetParam();
   auto batch = RandomBatch(5000, seed);
   for (auto& u : batch) u.kind = UpdateKind::kInsert;
 
   TopologyStore seq_store, par_store;
   ThreadPool pool(threads);
-  BatchUpdater seq(&seq_store, &pool), par(&par_store, &pool);
-  seq.ApplySequential(batch);
-  par.ApplyBatchLatchBased(batch);
+  for (const EdgeUpdate& u : batch) seq_store.Apply(u);
+  pool.ParallelFor(
+      batch.size(), [&](std::size_t i) { par_store.Apply(batch[i]); }, 16);
 
   EXPECT_EQ(par_store.NumEdges(), seq_store.NumEdges());
 }
@@ -137,7 +136,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BatchUpdaterTest, RepeatedBatchesAccumulate) {
   TopologyStore store;
   ThreadPool pool(4);
-  BatchUpdater updater(&store, &pool);
   RmatParams p;
   p.scale = 10;
   p.num_edges = 20000;
@@ -146,11 +144,11 @@ TEST(BatchUpdaterTest, RepeatedBatchesAccumulate) {
   for (const Edge& e : edges) {
     batch.push_back({UpdateKind::kInsert, e});
     if (batch.size() == 4096) {
-      updater.ApplyBatch(batch);
+      store.ApplyBatch(batch, &pool);
       batch.clear();
     }
   }
-  updater.ApplyBatch(batch);
+  store.ApplyBatch(batch, &pool);
 
   TopologyStore reference;
   for (const Edge& e : edges) reference.AddEdge(e.src, e.dst, e.weight);

@@ -44,7 +44,8 @@ TEST(PartitionerTest, RangePartitionerContiguous) {
 
 TEST(ShardTest, CountsRequests) {
   GraphShard shard;
-  shard.Apply({UpdateKind::kInsert, Edge{1, 2, 1.0, 0}});
+  shard.ApplyBatch(
+      std::vector<EdgeUpdate>{{UpdateKind::kInsert, Edge{1, 2, 1.0, 0}}});
   Xoshiro256 rng(1);
   std::vector<VertexId> out;
   shard.SampleNeighbors(1, 5, true, rng, &out);

@@ -741,21 +741,25 @@ class RecoveryTest : public ::testing::Test {
 
 TEST_F(RecoveryTest, CheckpointTruncatesCoveredWalPrefix) {
   GraphShard shard;
+  std::vector<EdgeUpdate> batch;
   for (VertexId s = 1; s <= 50; ++s) {
-    shard.Apply({UpdateKind::kInsert, Edge{s, s + 1, 1.0, 0}});
+    batch.push_back({UpdateKind::kInsert, Edge{s, s + 1, 1.0, 0}});
   }
+  shard.ApplyBatch(batch);
   EXPECT_EQ(shard.wal().size(), 50u);
   ASSERT_TRUE(shard.Checkpoint((dir_ / "s.ckpt").string()).ok());
   EXPECT_TRUE(shard.wal().empty()) << "checkpoint covers the whole log";
   EXPECT_EQ(shard.checkpoint_seq(), 50u);
-  shard.Apply({UpdateKind::kInsert, Edge{99, 100, 1.0, 0}});
+  shard.ApplyBatch(
+      std::vector<EdgeUpdate>{{UpdateKind::kInsert, Edge{99, 100, 1.0, 0}}});
   EXPECT_EQ(shard.wal().size(), 1u) << "only the post-checkpoint suffix";
   EXPECT_EQ(shard.wal_seq(), 51u);
 }
 
 TEST_F(RecoveryTest, CheckpointRefusedWhileCrashed) {
   GraphShard shard;
-  shard.Apply({UpdateKind::kInsert, Edge{1, 2, 1.0, 0}});
+  shard.ApplyBatch(
+      std::vector<EdgeUpdate>{{UpdateKind::kInsert, Edge{1, 2, 1.0, 0}}});
   shard.Crash();
   const Status s = shard.Checkpoint((dir_ / "s.ckpt").string());
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
@@ -763,9 +767,11 @@ TEST_F(RecoveryTest, CheckpointRefusedWhileCrashed) {
 
 TEST_F(RecoveryTest, RecoveryWithoutCheckpointReplaysFullWal) {
   GraphShard shard;
+  std::vector<EdgeUpdate> batch;
   for (VertexId s = 1; s <= 30; ++s) {
-    shard.Apply({UpdateKind::kInsert, Edge{s, s + 1, 2.0, 0}});
+    batch.push_back({UpdateKind::kInsert, Edge{s, s + 1, 2.0, 0}});
   }
+  shard.ApplyBatch(batch);
   shard.Crash();
   EXPECT_EQ(shard.store().NumEdges(), 0u) << "volatile store wiped";
   std::size_t replayed = 0;

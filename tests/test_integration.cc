@@ -10,7 +10,6 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "concurrency/batch_updater.h"
 #include "dist/cluster.h"
 #include "gen/datasets.h"
 #include "gen/generators.h"
@@ -33,10 +32,9 @@ TEST(IntegrationTest, BuildSampleTrainOnSyntheticGraph) {
 
   GraphStore graph;
   ThreadPool pool(4);
-  BatchUpdater updater(&graph.topology(0), &pool);
   std::vector<EdgeUpdate> batch;
   for (const Edge& e : edges) batch.push_back({UpdateKind::kInsert, e});
-  updater.ApplyBatch(batch);
+  graph.ApplyBatch(batch, &pool);
   EXPECT_GT(graph.NumEdges(), 50000u);
 
   // 2. Attach features/labels and train a model end-to-end.

@@ -12,7 +12,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
-#include "concurrency/batch_updater.h"
 #include "core/compressed_ids.h"
 #include "core/samtree.h"
 #include "index/cstable.h"
@@ -161,8 +160,8 @@ TEST(TopologyStoreInvariantTest, DetectsEdgeCounterDrift) {
   ASSERT_TRUE(store.CheckAllInvariants(&err)) << err;
 
   // A spurious counter bump — the signature of a mutation path that
-  // forgot (or double-counted) the NoteEdgeInserted hook.
-  store.NoteEdgeInserted();
+  // miscounted an edge.
+  store.CorruptEdgeCounterForTest();
   EXPECT_FALSE(store.CheckAllInvariants(&err));
   EXPECT_NE(err.find("drift"), std::string::npos) << err;
 }
@@ -170,7 +169,6 @@ TEST(TopologyStoreInvariantTest, DetectsEdgeCounterDrift) {
 TEST(TopologyStoreInvariantTest, CleanAfterBatchUpdater) {
   TopologyStore store;
   ThreadPool pool(4);
-  BatchUpdater updater(&store, &pool);
   Xoshiro256 rng(3);
   std::vector<EdgeUpdate> batch;
   for (int i = 0; i < 5000; ++i) {
@@ -183,7 +181,7 @@ TEST(TopologyStoreInvariantTest, CleanAfterBatchUpdater) {
                                 : UpdateKind::kDelete);
     batch.push_back(u);
   }
-  updater.ApplyBatch(std::move(batch));
+  store.ApplyBatch(batch, &pool);
   std::string err;
   EXPECT_TRUE(store.CheckAllInvariants(&err)) << err;
 }

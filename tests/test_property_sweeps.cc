@@ -13,7 +13,6 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "concurrency/batch_updater.h"
 #include "gen/generators.h"
 #include "gnn/layers.h"
 #include "index/cstable.h"
@@ -154,7 +153,6 @@ TEST(TemporalConcurrencyTest, WindowReplayViaLatchFreeBatches) {
   // latch-free batch.
   GraphStore concurrent;
   ThreadPool pool(4);
-  BatchUpdater updater(&concurrent.topology(0), &pool);
   const std::uint64_t window = t / 7 + 1;
   for (std::uint64_t from = 0; from < t; from += window) {
     std::vector<EdgeUpdate> batch;
@@ -162,7 +160,7 @@ TEST(TemporalConcurrencyTest, WindowReplayViaLatchFreeBatches) {
          log.Window(from, std::min(t, from + window))) {
       batch.push_back(tu.update);
     }
-    updater.ApplyBatch(std::move(batch));
+    concurrent.ApplyBatch(batch, &pool);
   }
 
   EXPECT_EQ(concurrent.NumEdges(), reference.NumEdges());

@@ -2,9 +2,10 @@
 // plain concurrency smoke tests).
 //
 // Every scenario here sticks to the documented synchronisation contracts —
-// readers and the batch updater touch disjoint source partitions, map
-// structure is never grown while lock-free readers are live, the sample
-// cache and thread pool are hammered from many threads at once — so a TSan
+// readers and the latch-free batch apply touch disjoint source partitions,
+// map structure is never grown while lock-free readers are live, cluster
+// writers are serialised per shard, the sample cache and thread pool are
+// hammered from many threads at once — so a TSan
 // report is a *bug*, not an expected finding. This is the runtime
 // counterpart of the clang -Wthread-safety job: the annotations prove the
 // locking discipline statically, these tests prove the lock-free
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +23,8 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
-#include "concurrency/batch_updater.h"
+#include "dist/cluster.h"
+#include "io/checkpoint.h"
 #include "sampling/sample_cache.h"
 #include "storage/cuckoo_map.h"
 #include "storage/graph_store.h"
@@ -31,7 +34,7 @@ namespace platod2gl {
 namespace {
 
 // Readers sample a read-only source partition through the hot-vertex
-// cache while the batch updater churns a disjoint partition — the
+// cache while the latch-free batch apply churns a disjoint partition — the
 // PALM-style schedule the paper's serving path uses. All sources exist
 // before the threads start, so the cuckoo map's structure is immutable
 // and the lock-free FindTree reads are race-free by contract.
@@ -77,7 +80,6 @@ TEST(RaceStressTest, SamplersVsBatchUpdaterOnDisjointPartitions) {
   }
 
   ThreadPool pool(4);
-  BatchUpdater updater(&graph.topology(0), &pool);
   Xoshiro256 batch_rng(7);
   for (int round = 0; round < kRounds; ++round) {
     std::vector<EdgeUpdate> batch;
@@ -95,7 +97,7 @@ TEST(RaceStressTest, SamplersVsBatchUpdaterOnDisjointPartitions) {
                                   : UpdateKind::kDelete);
       batch.push_back(u);
     }
-    updater.ApplyBatch(std::move(batch));
+    graph.ApplyBatch(batch, &pool);
   }
 
   stop.store(true, std::memory_order_release);
@@ -107,6 +109,67 @@ TEST(RaceStressTest, SamplersVsBatchUpdaterOnDisjointPartitions) {
   // Each Sample call lands in exactly one stats bucket.
   const SampleCacheStats stats = graph.sample_cache()->Stats();
   EXPECT_GT(stats.hits + stats.misses + stats.stale_hits, 0u);
+}
+
+// Two client threads write through GraphCluster::ApplyBatch at once. Each
+// sends insert-only batches whose sources all live on shard 0, so both
+// mutate the same samtrees; destinations are disjoint, so the final store
+// is the union of the two streams. A shard logs and applies each batch as
+// one step, so replaying its WAL in log order rebuilds the live store byte
+// for byte.
+TEST(RaceStressTest, TwoClusterWritersShareSourcesOnOneShard) {
+  constexpr int kBatches = 200;
+  constexpr int kPerBatch = 32;
+  ClusterConfig config;
+  config.rpc_latency_us = 0;
+  GraphCluster cluster(config);
+  std::vector<VertexId> sources;
+  for (VertexId v = 0; sources.size() < 16; ++v) {
+    if (cluster.partitioner().ShardOf(v) == 0) sources.push_back(v);
+  }
+  const auto edge_of = [&](int writer, int b, int i) {
+    return Edge{sources[static_cast<std::size_t>(b + i) % sources.size()],
+                static_cast<VertexId>(2 * (b * kPerBatch + i) + writer),
+                1.0 + writer, 0};
+  };
+  const auto write = [&](int writer) {
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<EdgeUpdate> batch;
+      for (int i = 0; i < kPerBatch; ++i) {
+        batch.push_back({UpdateKind::kInsert, edge_of(writer, b, i)});
+      }
+      EXPECT_TRUE(cluster.ApplyBatch(batch).ok());
+    }
+  };
+  std::thread first(write, 0);
+  std::thread second(write, 1);
+  first.join();
+  second.join();
+
+  const GraphShard& shard = cluster.shard(0);
+  const GraphStore& store = shard.store();
+  EXPECT_EQ(store.NumEdges(), 2u * kBatches * kPerBatch);
+  EXPECT_EQ(shard.wal_seq(), 2u * kBatches * kPerBatch);
+  for (int writer = 0; writer < 2; ++writer) {
+    for (int b = 0; b < kBatches; ++b) {
+      for (int i = 0; i < kPerBatch; ++i) {
+        const Edge e = edge_of(writer, b, i);
+        const std::optional<Weight> w = store.EdgeWeight(e.src, e.dst);
+        ASSERT_TRUE(w.has_value()) << e.src << "->" << e.dst;
+        EXPECT_EQ(*w, e.weight);
+      }
+    }
+  }
+  std::string err;
+  EXPECT_TRUE(store.topology(0).CheckAllInvariants(&err)) << err;
+
+  GraphStore replay(config.shard_config);
+  shard.wal().ReplayInto(&replay, 0, shard.wal_seq());
+  std::string live_bytes;
+  std::string replay_bytes;
+  ASSERT_TRUE(SaveGraphToBytes(store, &live_bytes).ok());
+  ASSERT_TRUE(SaveGraphToBytes(replay, &replay_bytes).ok());
+  EXPECT_TRUE(live_bytes == replay_bytes);
 }
 
 // Admission, eviction and stale-entry rebuild all racing on a shared

@@ -10,7 +10,6 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "concurrency/batch_updater.h"
 #include "core/samtree.h"
 #include "obs/metrics.h"
 #include "sampling/sample_cache.h"
@@ -148,7 +147,6 @@ TEST(SampleCacheDistributionTest, CachedUniformIsUniform) {
 TEST(SampleCacheInvalidationTest, InterleavedBatchUpdatesNeverServeStale) {
   GraphStore g(EagerCacheConfig());
   ThreadPool pool(4);
-  BatchUpdater updater(&g.topology(0), &pool);
   Xoshiro256 rng(33);
 
   // Reference neighbourhood of the hot vertex, mirrored by hand.
@@ -159,7 +157,7 @@ TEST(SampleCacheInvalidationTest, InterleavedBatchUpdatesNeverServeStale) {
     batch.push_back({UpdateKind::kInsert, {hot, 10000 + d, 1.0, 0}});
     live.insert(10000 + d);
   }
-  updater.ApplyBatch(batch);
+  g.ApplyBatch(batch, &pool);
 
   std::vector<VertexId> out;
   VertexId next_fresh = 20000;
@@ -183,7 +181,7 @@ TEST(SampleCacheInvalidationTest, InterleavedBatchUpdatesNeverServeStale) {
       batch.push_back({UpdateKind::kInsert, {hot, next_fresh, 1.0, 0}});
       live.insert(next_fresh++);
     }
-    updater.ApplyBatch(batch);
+    g.ApplyBatch(batch, &pool);
 
     // Every draw after the batch must reflect it: deleted neighbours may
     // never reappear, whatever mix of cached / descent paths serves it.

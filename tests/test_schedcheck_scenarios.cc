@@ -470,8 +470,9 @@ struct PromoteState {
         rc, platod2gl::GraphStoreConfig{},
         std::vector<platod2gl::GraphShard*>{&primary}, &injector, &coord);
     using platod2gl::UpdateKind;
-    primary.Apply({UpdateKind::kInsert, Edge{1, 2, 1.0, 0}});
-    primary.Apply({UpdateKind::kInsert, Edge{1, 3, 2.0, 0}});
+    primary.ApplyBatch(std::vector<platod2gl::EdgeUpdate>{
+        {UpdateKind::kInsert, Edge{1, 2, 1.0, 0}},
+        {UpdateKind::kInsert, Edge{1, 3, 2.0, 0}}});
     mgr->Kick();  // fault-free sync ship: replica is caught up at seq 2
     injector.CrashShard(0);
     primary.Crash();
