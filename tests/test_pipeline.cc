@@ -280,7 +280,7 @@ TEST(CoalesceTest, StateEquivalentForAnyPriorState) {
           for (VertexId d = 0; d < 3; ++d) b.AddEdge({s, d, 0.5, 0});
         }
       }
-      a.ApplyBatch(raw);
+      for (const EdgeUpdate& u : raw) a.Apply(u);  // the sequential oracle
       b.ApplyBatch(folded);
       ASSERT_EQ(CanonicalEdges(a), CanonicalEdges(b))
           << "round " << round << " prior " << prior;
