@@ -118,9 +118,13 @@ class LatencyHistogram {
   }
 
  private:
+  /// Bucket i >= 1 holds [2^(i-1), 2^i - 1]; the top bucket also takes
+  /// every sample >= 2^63, which would otherwise index one past the end.
   static std::size_t BucketOf(std::uint64_t nanos) {
     if (nanos == 0) return 0;
-    return 64 - static_cast<std::size_t>(__builtin_clzll(nanos));
+    const std::size_t bucket =
+        64 - static_cast<std::size_t>(__builtin_clzll(nanos));
+    return bucket < kBuckets ? bucket : kBuckets - 1;
   }
 
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};

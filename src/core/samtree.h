@@ -189,8 +189,7 @@ class Samtree {
 
   /// All neighbour IDs in ascending order. Leaves are ID-disjoint
   /// intervals, so only each leaf's n_L entries need sorting:
-  /// O(n log n_L) instead of O(n log n). Feeds merge-join set operations
-  /// (common neighbours, intersections).
+  /// O(n log n_L) instead of O(n log n).
   std::vector<VertexId> SortedIds() const;
 
   /// Bytes used, split into topology / index / other.

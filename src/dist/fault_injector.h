@@ -118,9 +118,6 @@ class FaultInjector {
   /// skip the draw entirely.
   bool PassiveExceptCrashes() const { return passive_; }
 
-  /// True when every replication-channel probability is zero.
-  bool PassiveReplication() const { return rep_passive_; }
-
   const FaultConfig& config() const { return config_; }
 
  private:

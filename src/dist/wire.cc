@@ -1,7 +1,6 @@
 #include "dist/wire.h"
 
 #include <cstring>
-#include <utility>
 
 #include "temporal/edge_log.h"
 
@@ -379,267 +378,6 @@ DecodeResult DecodeRepSnapshot(const std::string& bytes, RepSnapshot* out) {
   }
   out->checkpoint.assign(bytes, pos, len);
   pos += len;
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
-}
-
-namespace {
-
-/// Shared header check for the versioned serving messages — same
-/// negotiation stance as GetRepHeader: kUnsupportedVersion only once the
-/// tag matched. Unlike the replication protocol, serving clients span a
-/// version RANGE (v1 predates the trace context): the accepted version is
-/// returned so the body decoder can skip the fields that version lacks.
-DecodeResult GetServeHeader(const std::string& bytes, char tag,
-                            std::size_t* pos, std::uint8_t* version) {
-  if (bytes.size() < 2 || bytes[0] != tag) return DecodeResult::kMalformed;
-  *version = static_cast<std::uint8_t>(bytes[1]);
-  if (*version < kMinServeWireVersion || *version > kServeWireVersion) {
-    return DecodeResult::kUnsupportedVersion;
-  }
-  *pos = 2;
-  return DecodeResult::kOk;
-}
-
-}  // namespace
-
-std::string EncodeQueryRequest(const serve::QueryRequest& req,
-                               std::uint8_t version) {
-  std::string out;
-  out.reserve(43 + req.seeds.size() * sizeof(VertexId) +
-              req.plan.ops.size() * 34);
-  out.push_back('Q');
-  Put(&out, version);
-  Put(&out, req.tenant);
-  Put(&out, req.request_id);
-  Put(&out, req.rng_seed);
-  if (version != 1) {
-    // v2+: the propagated trace context rides between the RNG seed and
-    // the seed array. Encoding at version 1 emits the exact legacy
-    // layout, byte for byte.
-    Put(&out, req.trace.trace_id);
-    Put(&out, req.trace.parent_span);
-    Put(&out, req.trace.flags);
-  }
-  Put(&out, static_cast<std::uint32_t>(req.seeds.size()));
-  for (VertexId s : req.seeds) Put(&out, s);
-  Put(&out, static_cast<std::uint32_t>(req.plan.ops.size()));
-  for (const serve::PlanOp& op : req.plan.ops) {
-    Put(&out, static_cast<std::uint8_t>(op.kind));
-    Put(&out, op.input);
-    Put(&out, op.edge_type);
-    Put(&out, op.fanout);
-    Put(&out, static_cast<std::uint8_t>(op.weighted ? 1 : 0));
-    Put(&out, op.count);
-    Put(&out, op.range_lo);
-    Put(&out, op.range_hi);
-  }
-  return out;
-}
-
-DecodeResult DecodeQueryRequest(const std::string& bytes,
-                                serve::QueryRequest* out) {
-  std::size_t pos = 0;
-  std::uint8_t version = 0;
-  const DecodeResult head = GetServeHeader(bytes, 'Q', &pos, &version);
-  if (head != DecodeResult::kOk) return head;
-  if (!Get(bytes, &pos, &out->tenant) || !Get(bytes, &pos, &out->request_id) ||
-      !Get(bytes, &pos, &out->rng_seed)) {
-    return DecodeResult::kMalformed;
-  }
-  out->trace = obs::TraceContext{};
-  if (version != 1) {
-    if (!Get(bytes, &pos, &out->trace.trace_id) ||
-        !Get(bytes, &pos, &out->trace.parent_span) ||
-        !Get(bytes, &pos, &out->trace.flags)) {
-      return DecodeResult::kMalformed;
-    }
-  }
-  std::uint32_t seed_count;
-  if (!Get(bytes, &pos, &seed_count)) return DecodeResult::kMalformed;
-  // The seed array cannot exceed the remaining payload: bounds-check the
-  // declared count BEFORE allocating (absurd counts must not drive a
-  // resize).
-  if (static_cast<std::size_t>(seed_count) * sizeof(VertexId) >
-      bytes.size() - pos) {
-    return DecodeResult::kMalformed;
-  }
-  out->seeds.resize(seed_count);
-  for (std::uint32_t i = 0; i < seed_count; ++i) {
-    if (!Get(bytes, &pos, &out->seeds[i])) return DecodeResult::kMalformed;
-  }
-  std::uint32_t op_count;
-  if (!Get(bytes, &pos, &op_count)) return DecodeResult::kMalformed;
-  // Ops are fixed 34-byte records and the whole remaining payload: exact
-  // arithmetic check before the reserve — this also rejects trailing
-  // garbage.
-  if (bytes.size() - pos != static_cast<std::size_t>(op_count) * 34) {
-    return DecodeResult::kMalformed;
-  }
-  out->plan.ops.clear();
-  out->plan.ops.reserve(op_count);
-  for (std::uint32_t i = 0; i < op_count; ++i) {
-    serve::PlanOp op;
-    std::uint8_t kind;
-    std::uint8_t weighted;
-    if (!Get(bytes, &pos, &kind) || !Get(bytes, &pos, &op.input) ||
-        !Get(bytes, &pos, &op.edge_type) || !Get(bytes, &pos, &op.fanout) ||
-        !Get(bytes, &pos, &weighted) || !Get(bytes, &pos, &op.count) ||
-        !Get(bytes, &pos, &op.range_lo) || !Get(bytes, &pos, &op.range_hi)) {
-      return DecodeResult::kMalformed;
-    }
-    if (kind > static_cast<std::uint8_t>(serve::OpKind::kGather) ||
-        weighted > 1) {
-      return DecodeResult::kMalformed;
-    }
-    op.kind = static_cast<serve::OpKind>(kind);
-    op.weighted = weighted != 0;
-    out->plan.ops.push_back(op);
-  }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
-}
-
-std::string EncodeQueryResponse(const serve::QueryResponse& resp,
-                                std::uint8_t version) {
-  std::string out;
-  out.push_back('P');
-  Put(&out, version);
-  Put(&out, resp.tenant);
-  Put(&out, resp.request_id);
-  Put(&out, static_cast<std::uint8_t>(resp.status));
-  Put(&out, resp.epoch);
-  if (version != 1) Put(&out, resp.trace_id);
-  Put(&out, static_cast<std::uint32_t>(resp.stages.size()));
-  for (const serve::StageOutput& stage : resp.stages) {
-    Put(&out, static_cast<std::uint32_t>(stage.ids.size()));
-    for (VertexId v : stage.ids) Put(&out, v);
-    Put(&out, static_cast<std::uint32_t>(stage.offsets.size()));
-    for (std::uint64_t o : stage.offsets) Put(&out, o);
-    Put(&out, stage.feature_dim);
-    Put(&out, static_cast<std::uint32_t>(stage.features.size()));
-    for (float f : stage.features) Put(&out, f);
-  }
-  return out;
-}
-
-DecodeResult DecodeQueryResponse(const std::string& bytes,
-                                 serve::QueryResponse* out) {
-  std::size_t pos = 0;
-  std::uint8_t version = 0;
-  const DecodeResult head = GetServeHeader(bytes, 'P', &pos, &version);
-  if (head != DecodeResult::kOk) return head;
-  std::uint8_t status;
-  std::uint32_t stage_count;
-  if (!Get(bytes, &pos, &out->tenant) || !Get(bytes, &pos, &out->request_id) ||
-      !Get(bytes, &pos, &status) || !Get(bytes, &pos, &out->epoch)) {
-    return DecodeResult::kMalformed;
-  }
-  out->trace_id = 0;
-  if (version != 1 && !Get(bytes, &pos, &out->trace_id)) {
-    return DecodeResult::kMalformed;
-  }
-  if (!Get(bytes, &pos, &stage_count)) return DecodeResult::kMalformed;
-  if (status > static_cast<std::uint8_t>(serve::RequestStatus::kShed)) {
-    return DecodeResult::kMalformed;
-  }
-  out->status = static_cast<serve::RequestStatus>(status);
-  out->latency_us = 0;  // server-side metadata, not carried on the wire
-  // Each stage contributes at least its four length/dim prefixes: reject
-  // absurd stage counts before reserving anything.
-  if (static_cast<std::size_t>(stage_count) * 16 > bytes.size() - pos) {
-    return DecodeResult::kMalformed;
-  }
-  out->stages.clear();
-  out->stages.reserve(stage_count);
-  for (std::uint32_t i = 0; i < stage_count; ++i) {
-    serve::StageOutput stage;
-    std::uint32_t ids_len;
-    if (!Get(bytes, &pos, &ids_len)) return DecodeResult::kMalformed;
-    if (static_cast<std::size_t>(ids_len) * sizeof(VertexId) >
-        bytes.size() - pos) {
-      return DecodeResult::kMalformed;
-    }
-    stage.ids.resize(ids_len);
-    for (std::uint32_t j = 0; j < ids_len; ++j) {
-      if (!Get(bytes, &pos, &stage.ids[j])) return DecodeResult::kMalformed;
-    }
-    std::uint32_t off_len;
-    if (!Get(bytes, &pos, &off_len)) return DecodeResult::kMalformed;
-    if (static_cast<std::size_t>(off_len) * sizeof(std::uint64_t) >
-        bytes.size() - pos) {
-      return DecodeResult::kMalformed;
-    }
-    stage.offsets.resize(off_len);
-    for (std::uint32_t j = 0; j < off_len; ++j) {
-      if (!Get(bytes, &pos, &stage.offsets[j])) {
-        return DecodeResult::kMalformed;
-      }
-    }
-    // Structural invariants of the NeighborBatch layout: offsets (when
-    // present) start at 0, never decrease, and cover exactly the id
-    // array; a stage with no offsets carries no ids (gather sink).
-    if (off_len == 0) {
-      if (ids_len != 0) return DecodeResult::kMalformed;
-    } else {
-      if (stage.offsets.front() != 0 || stage.offsets.back() != ids_len) {
-        return DecodeResult::kMalformed;
-      }
-      for (std::uint32_t j = 1; j < off_len; ++j) {
-        if (stage.offsets[j] < stage.offsets[j - 1]) {
-          return DecodeResult::kMalformed;
-        }
-      }
-    }
-    std::uint32_t feat_len;
-    if (!Get(bytes, &pos, &stage.feature_dim) ||
-        !Get(bytes, &pos, &feat_len)) {
-      return DecodeResult::kMalformed;
-    }
-    if (static_cast<std::size_t>(feat_len) * sizeof(float) >
-        bytes.size() - pos) {
-      return DecodeResult::kMalformed;
-    }
-    // Feature rows are dense [n x dim]: a row count that doesn't divide
-    // evenly (or features without a dim) is structural damage.
-    if (stage.feature_dim == 0) {
-      if (feat_len != 0) return DecodeResult::kMalformed;
-    } else if (feat_len % stage.feature_dim != 0) {
-      return DecodeResult::kMalformed;
-    }
-    stage.features.resize(feat_len);
-    for (std::uint32_t j = 0; j < feat_len; ++j) {
-      if (!Get(bytes, &pos, &stage.features[j])) {
-        return DecodeResult::kMalformed;
-      }
-    }
-    out->stages.push_back(std::move(stage));
-  }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
-}
-
-std::string EncodeTraceContext(const obs::TraceContext& ctx,
-                               std::uint8_t version) {
-  std::string out;
-  out.reserve(15);
-  out.push_back('T');
-  Put(&out, version);
-  Put(&out, ctx.trace_id);
-  Put(&out, ctx.parent_span);
-  Put(&out, ctx.flags);
-  return out;
-}
-
-DecodeResult DecodeTraceContext(const std::string& bytes,
-                                obs::TraceContext* out) {
-  std::size_t pos = 0;
-  if (bytes.size() < 2 || bytes[0] != 'T') return DecodeResult::kMalformed;
-  if (static_cast<std::uint8_t>(bytes[1]) != kTraceWireVersion) {
-    return DecodeResult::kUnsupportedVersion;
-  }
-  pos = 2;
-  if (!Get(bytes, &pos, &out->trace_id) ||
-      !Get(bytes, &pos, &out->parent_span) || !Get(bytes, &pos, &out->flags)) {
-    return DecodeResult::kMalformed;
-  }
   return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
 }
 

@@ -44,9 +44,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/trace.h"
 #include "sampling/neighbor_sampler.h"
-#include "serve/query_plan.h"
 
 namespace platod2gl {
 struct TimedUpdate;  // temporal/edge_log.h
@@ -187,61 +185,5 @@ DecodeResult DecodeRepDigest(const std::string& bytes, RepDigest* out);
 std::string EncodeRepSnapshot(const RepSnapshot& msg,
                               std::uint8_t version = kReplicationWireVersion);
 DecodeResult DecodeRepSnapshot(const std::string& bytes, RepSnapshot* out);
-
-// --- Serving protocol (client -> server query execution) ------------------
-//
-// The serving front end (src/serve) speaks its own versioned messages —
-// clients are long-lived and upgrade independently of the cluster, so the
-// decoders negotiate exactly like the replication codecs: recognised tag +
-// unknown version byte => kUnsupportedVersion, anything structurally off
-// => kMalformed (exact bounds checks before any allocation, full
-// consumption required).
-//
-//   QueryRequest:  tag 'Q' | ver u8 | tenant u32 | request_id u64 |
-//                  rng_seed u64 |
-//                  [v2+] trace_id u64 | parent_span u32 | tflags u8 |
-//                  seed_count u32 | seed_count x u64 |
-//                  op_count u32 | op_count x (kind u8, input u32,
-//                  edge_type u32, fanout u32, weighted u8, count u32,
-//                  range_lo u64, range_hi u64)                [34 B per op]
-//   QueryResponse: tag 'P' | ver u8 | tenant u32 | request_id u64 |
-//                  status u8 | epoch u64 | [v2+] trace_id u64 |
-//                  stage_count u32 | stage_count x
-//                  (ids_len u32, ids_len x u64, off_len u32, off_len x u64,
-//                   feature_dim u32, feat_len u32, feat_len x f32)
-//   TraceContext:  tag 'T' | ver u8 | trace_id u64 | parent_span u32 |
-//                  tflags u8                       (standalone propagation)
-
-/// Current serving wire version. v2 added the trace-context fields
-/// (DESIGN.md §15); v1 peers are still decoded — their requests simply
-/// carry an unset trace context — so decoders accept
-/// [kMinServeWireVersion, kServeWireVersion] and refuse anything else
-/// with kUnsupportedVersion. Encoders asked for version 1 emit the exact
-/// v1 byte layout (no trace fields).
-inline constexpr std::uint8_t kServeWireVersion = 2;
-inline constexpr std::uint8_t kMinServeWireVersion = 1;
-
-std::string EncodeQueryRequest(const serve::QueryRequest& req,
-                               std::uint8_t version = kServeWireVersion);
-DecodeResult DecodeQueryRequest(const std::string& bytes,
-                                serve::QueryRequest* out);
-
-std::string EncodeQueryResponse(const serve::QueryResponse& resp,
-                                std::uint8_t version = kServeWireVersion);
-DecodeResult DecodeQueryResponse(const std::string& bytes,
-                                 serve::QueryResponse* out);
-
-// --- Trace-context propagation (obs/trace.h) ------------------------------
-
-/// Standalone trace-context message, for transports that attach the
-/// context out of band (sidecar headers) instead of inline in a v2
-/// QueryRequest. Versioned and hardened like every other codec here
-/// (fuzz harness: tests/fuzz/fuzz_trace.cc).
-inline constexpr std::uint8_t kTraceWireVersion = 1;
-
-std::string EncodeTraceContext(const obs::TraceContext& ctx,
-                               std::uint8_t version = kTraceWireVersion);
-DecodeResult DecodeTraceContext(const std::string& bytes,
-                                obs::TraceContext* out);
 
 }  // namespace platod2gl::wire

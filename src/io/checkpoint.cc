@@ -322,114 +322,4 @@ Status LoadGraphFromBytes(const std::string& bytes, GraphStore* graph) {
   return LoadGraphStream(f.get(), "<bytes>", graph);
 }
 
-namespace {
-
-constexpr char kModelMagic[4] = {'P', 'D', '2', 'M'};
-// v1 model files put the u32 in_dim straight after the magic; v2 inserts
-// this sentinel (an impossible in_dim) so the two can be told apart, then
-// appends a CRC-32 footer like graph checkpoints.
-constexpr std::uint32_t kModelV2Tag = 0xFFFFFFFEu;
-
-bool WriteTensor(CrcWriter& w, const Tensor& t) {
-  const std::uint32_t rows = static_cast<std::uint32_t>(t.rows());
-  const std::uint32_t cols = static_cast<std::uint32_t>(t.cols());
-  return WritePod(w, rows) && WritePod(w, cols) &&
-         (t.size() == 0 || w.Write(t.data(), sizeof(float) * t.size()));
-}
-
-bool ReadTensorInto(std::FILE* f, Tensor* t) {
-  std::uint32_t rows = 0, cols = 0;
-  if (!ReadPod(f, &rows) || !ReadPod(f, &cols)) return false;
-  if (rows != t->rows() || cols != t->cols()) return false;
-  return t->size() == 0 ||
-         std::fread(t->data(), sizeof(float), t->size(), f) == t->size();
-}
-
-bool WriteDense(CrcWriter& w, const Dense& d) {
-  const std::uint32_t blen = static_cast<std::uint32_t>(d.bias().size());
-  return WriteTensor(w, d.weights()) && WritePod(w, blen) &&
-         w.Write(d.bias().data(), sizeof(float) * blen);
-}
-
-bool ReadDenseInto(std::FILE* f, Dense* d) {
-  if (!ReadTensorInto(f, &d->weights())) return false;
-  std::uint32_t blen = 0;
-  if (!ReadPod(f, &blen) || blen != d->bias().size()) return false;
-  return std::fread(d->bias().data(), sizeof(float), blen, f) == blen;
-}
-
-}  // namespace
-
-Status SaveModel(const GraphSageModel& model, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::Internal("cannot open " + path + " for writing");
-  CrcWriter w{f.get()};
-
-  const GraphSageConfig& cfg = model.config();
-  const std::uint32_t dims[3] = {
-      static_cast<std::uint32_t>(cfg.in_dim),
-      static_cast<std::uint32_t>(cfg.hidden_dim),
-      static_cast<std::uint32_t>(cfg.num_classes)};
-  if (!w.Write(kModelMagic, sizeof(kModelMagic)) ||
-      !WritePod(w, kModelV2Tag) || !w.Write(dims, sizeof(dims))) {
-    return Status::Internal("short write (model header)");
-  }
-  const bool ok = WriteDense(w, model.sage1().self_fc()) &&
-                  WriteDense(w, model.sage1().neigh_fc()) &&
-                  WriteDense(w, model.sage2().self_fc()) &&
-                  WriteDense(w, model.sage2().neigh_fc()) &&
-                  WriteDense(w, model.classifier());
-  if (!ok) return Status::Internal("short write (model weights)");
-  if (!w.WriteFooter()) return Status::Internal("short write (crc footer)");
-  return Status::Ok();
-}
-
-Status LoadModel(const std::string& path, GraphSageModel* model) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::NotFound("cannot open " + path);
-
-  char magic[4];
-  std::uint32_t probe = 0;
-  if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
-      std::memcmp(magic, kModelMagic, sizeof(kModelMagic)) != 0) {
-    return Status::InvalidArgument("not a PlatoD2GL model: " + path);
-  }
-  if (!ReadPod(f.get(), &probe)) {
-    return Status::InvalidArgument("truncated model header");
-  }
-
-  std::uint32_t dims[3];
-  if (probe == kModelV2Tag) {
-    Status s = VerifyCrcFooter(f.get(), path, /*min_size=*/20);
-    if (!s.ok()) return s;
-    // Rewind past magic + tag, then read the real dims.
-    if (std::fseek(f.get(), sizeof(kModelMagic) + sizeof(kModelV2Tag),
-                   SEEK_SET) != 0) {
-      return Status::Internal("seek failed: " + path);
-    }
-    if (std::fread(dims, sizeof(dims), 1, f.get()) != 1) {
-      return Status::InvalidArgument("truncated model header");
-    }
-  } else {
-    // v1 layout: the probe WAS in_dim.
-    dims[0] = probe;
-    if (std::fread(&dims[1], sizeof(std::uint32_t), 2, f.get()) != 2) {
-      return Status::InvalidArgument("truncated model header");
-    }
-  }
-  const GraphSageConfig& cfg = model->config();
-  if (dims[0] != cfg.in_dim || dims[1] != cfg.hidden_dim ||
-      dims[2] != cfg.num_classes) {
-    return Status::InvalidArgument(
-        "model architecture mismatch (checkpoint vs target)");
-  }
-  const bool ok = ReadDenseInto(f.get(), &model->sage1().self_fc()) &&
-                  ReadDenseInto(f.get(), &model->sage1().neigh_fc()) &&
-                  ReadDenseInto(f.get(), &model->sage2().self_fc()) &&
-                  ReadDenseInto(f.get(), &model->sage2().neigh_fc()) &&
-                  ReadDenseInto(f.get(), &model->classifier());
-  return ok ? Status::Ok()
-            : Status::InvalidArgument("truncated or mismatched model data");
-}
-
 }  // namespace platod2gl

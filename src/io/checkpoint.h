@@ -10,9 +10,10 @@
 //                     feat_len u32, feat_len x f32
 //   crc32 u32 footer (v2+) over every preceding byte
 //
-// Loading streams edges through the duplicate-free bulk path
-// (AddEdgeUnchecked), so a checkpoint restore costs the same as a bulk
-// build. All failures are reported as Status, never exceptions.
+// Edges are written grouped by source; loading bulk-builds each source's
+// run (Samtree::BulkBuild) and installs it with TopologyStore::InstallTree,
+// so a checkpoint restore costs the same as a bulk build. All failures are
+// reported as Status, never exceptions.
 //
 // Integrity: v2 files end in a CRC-32 footer that is verified over the
 // whole file BEFORE any record is applied, so truncated or bit-rotted
@@ -24,7 +25,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "gnn/model.h"
 #include "storage/graph_store.h"
 
 namespace platod2gl {
@@ -47,13 +47,5 @@ Status SaveGraphToBytes(const GraphStore& graph, std::string* out);
 /// LoadGraph from an in-memory buffer (CRC verified first, like the file
 /// path). The receive side of snapshot-bootstrap shipping.
 Status LoadGraphFromBytes(const std::string& bytes, GraphStore* graph);
-
-/// Serialise a trained GraphSAGE model (all weights and biases plus the
-/// architecture dimensions, which are validated on load).
-Status SaveModel(const GraphSageModel& model, const std::string& path);
-
-/// Restore weights into a model constructed with the same
-/// GraphSageConfig; dimension mismatches are rejected.
-Status LoadModel(const std::string& path, GraphSageModel* model);
 
 }  // namespace platod2gl

@@ -12,7 +12,8 @@
 //  * PD2GL_OBS_PROFILE undefined (the default): the macro expands to
 //    nothing — zero code, zero data references, bit-identical hot loops.
 //  * defined: two steady_clock reads per scope, one relaxed fetch_add.
-//    bench_sampling_batched's ablation gates the overhead at <= 2%.
+//    The `asan` preset builds this way and runs the full suite; the
+//    overhead is not measured or gated by any bench.
 //
 // These histograms are intentionally global (unlike MetricRegistry):
 // profiling cuts across every store/cluster instance in the process, and

@@ -17,9 +17,8 @@
 //    partitioner's shard routing, both of which batching preserves.
 //
 // Layering: obs knows nothing about serve/dist types. The serving layer
-// owns where spans start/stop; this file owns the bounded builder, the
-// completed-trace ring (TraceSink), and the wire-portable TraceContext
-// (encoded by dist/wire.cc as part of the v2 serving messages).
+// owns where spans start/stop; this file owns the trace id derivation,
+// the bounded builder and the completed-trace ring (TraceSink).
 #pragma once
 
 #include <cstddef>
@@ -32,26 +31,9 @@
 
 namespace platod2gl::obs {
 
-/// The propagated trace identity: rides the wire (dist/wire.h tag 'T'
-/// inside v2 QueryRequest) so a downstream tier attaches its spans under
-/// the caller's. flags bit 0 = sampled (spans are recorded); an all-zero
-/// context means "derive and sample at the server door".
-struct TraceContext {
-  static constexpr std::uint8_t kSampled = 0x01;
-
-  std::uint64_t trace_id = 0;
-  std::uint32_t parent_span = 0;
-  std::uint8_t flags = 0;
-
-  bool sampled() const { return (flags & kSampled) != 0; }
-  bool unset() const { return trace_id == 0 && parent_span == 0 && flags == 0; }
-
-  friend bool operator==(const TraceContext&, const TraceContext&) = default;
-};
-
 /// Deterministic trace id: a SplitMix64 finalizer over the request
 /// identity. Pure — independent of batching, admission order, retries,
-/// and the wall clock. Never returns 0 (0 means "unset").
+/// and the wall clock. Never returns 0.
 std::uint64_t DeriveTraceId(std::uint32_t tenant, std::uint64_t request_id,
                             std::uint64_t rng_seed);
 
@@ -128,7 +110,6 @@ class TraceBuilder {
   void CloseAll(std::uint64_t end_us);
 
   bool AllClosed() const;
-  std::size_t NumSpans() const { return spans_.size(); }
   std::uint64_t dropped_spans() const { return dropped_; }
   std::uint64_t trace_id() const { return trace_id_; }
 

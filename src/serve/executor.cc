@@ -48,7 +48,6 @@ ExecOutcome PlanExecutor::ExecuteBatch(std::vector<PendingRequest>& batch,
                             std::uint64_t items, std::uint64_t span_start,
                             std::uint64_t span_end) {
     PendingRequest& req = batch[r];
-    if (!req.trace) return;
     const std::uint32_t step_span =
         req.trace->StartSpan(kind, req.root_span, span_start,
                              static_cast<std::uint32_t>(j), 0, items);

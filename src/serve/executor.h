@@ -23,13 +23,13 @@
 // time (the slowest shard RPC of the round, retries included) — the
 // batch's service time on the server's virtual clock (serve/server.h).
 //
-// Tracing: for every request carrying a sampled TraceBuilder, each plan
-// step emits one span (kind by op) under the request's root, and each
-// RPC-backed step emits one kRpcShard child per shard its OWN frontier
-// routes to (partitioner order). Span structure is therefore a pure
-// function of the request's plan and frontiers — identical batched or
-// solo (pinned in tests/test_trace.cc); timestamps advance on the
-// batch's virtual clock from `start_us`, round by round.
+// Tracing: for every request (each carries the TraceBuilder that Submit
+// opened), each plan step emits one span (kind by op) under the
+// request's root, and each RPC-backed step emits one kRpcShard child per
+// shard its OWN frontier routes to (partitioner order). Span structure
+// is therefore a pure function of the request's plan and frontiers —
+// identical batched or solo (pinned in tests/test_trace.cc); timestamps
+// advance on the batch's virtual clock from `start_us`, round by round.
 #pragma once
 
 #include <cstdint>

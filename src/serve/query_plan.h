@@ -34,7 +34,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "obs/trace.h"
 
 namespace platod2gl::serve {
 
@@ -164,10 +163,6 @@ struct QueryRequest {
   std::uint32_t tenant = 0;
   std::uint64_t request_id = 0;
   std::uint64_t rng_seed = 0;
-  /// Propagated trace identity (wire v2). Left unset (all zero), the
-  /// server derives a deterministic sampled context at the door; a caller
-  /// that already has a trace passes it through here.
-  obs::TraceContext trace;
   std::vector<VertexId> seeds;
   QueryPlan plan;
 
@@ -198,12 +193,13 @@ struct QueryResponse {
   RequestStatus status = RequestStatus::kOk;
   /// The EpochCoordinator epoch this request's snapshot was pinned at.
   std::uint64_t epoch = 0;
-  /// The trace this request was served under (0 = untraced); the handle
-  /// a client quotes to `pd2gl trace` / TraceSink::Find.
+  /// The trace this request was served under (obs::DeriveTraceId of the
+  /// request identity); the handle a client quotes to `pd2gl trace` /
+  /// TraceSink::Find.
   std::uint64_t trace_id = 0;
   std::vector<StageOutput> stages;  ///< one per plan op (empty when shed)
-  /// Virtual-time latency (arrival -> completion); server-side metadata,
-  /// not part of the wire format.
+  /// Virtual-time latency (arrival -> completion, 0 when the arrival
+  /// stamp is later than the completion).
   std::uint64_t latency_us = 0;
 
   friend bool operator==(const QueryResponse&, const QueryResponse&) = default;

@@ -45,10 +45,10 @@ struct PendingRequest {
   LoweredPlan plan;
   std::uint64_t arrival_us = 0;  ///< when the client submitted
   std::uint64_t enqueue_us = 0;  ///< when admission let it into the queue
-  /// Span builder when the request's trace context is sampled (null
-  /// otherwise). Rides the request through queue -> batch -> retirement;
-  /// the server finishes it into the TraceSink, and the shed path closes
-  /// every open span so an evicted request never leaks one.
+  /// The request's span builder, opened by GraphServer::Submit. Rides the
+  /// request through queue -> batch -> retirement; the server finishes it
+  /// into the TraceSink, and the shed path closes every open span so an
+  /// evicted request never leaks one.
   std::unique_ptr<obs::TraceBuilder> trace;
   std::uint32_t root_span = 0;  ///< the kServeRequest span's id
 };

@@ -6,6 +6,16 @@
 #include <utility>
 
 namespace platod2gl::serve {
+namespace {
+
+/// Virtual time from `from_us` to `to_us`, 0 when `to_us` is earlier:
+/// client threads submit with their own clocks, so a batch can complete
+/// (or a shed happen) before a request's arrival stamp.
+std::uint64_t ElapsedUs(std::uint64_t from_us, std::uint64_t to_us) {
+  return to_us > from_us ? to_us - from_us : 0;
+}
+
+}  // namespace
 
 GraphServer::GraphServer(GraphCluster* cluster, EpochCoordinator* epochs,
                          ServeConfig config)
@@ -54,21 +64,18 @@ void GraphServer::RetireLocked(std::uint64_t now_us, bool all) {
       } else {
         counters_.ok->Add(1);
       }
-      if (batch.traces[i]) {
-        obs::TraceBuilder& tb = *batch.traces[i];
-        tb.EndSpan(batch.root_spans[i], batch.completion_us);
-        // SLO-exemplar candidate: keep the worst sampled latency of the
-        // current window. ">" takes the first-retired among ties, which
-        // is deterministic under the single-driver pump.
-        if (resp.latency_us > window_worst_us_ ||
-            window_exemplar_trace_ == 0) {
-          window_worst_us_ = resp.latency_us;
-          window_exemplar_trace_ = tb.trace_id();
-        }
-        trace_sink_.Publish(std::move(tb).Finish(
-            resp.tenant, resp.request_id,
-            static_cast<std::uint8_t>(resp.status)));
+      obs::TraceBuilder& tb = *batch.traces[i];
+      tb.EndSpan(batch.root_spans[i], batch.completion_us);
+      // SLO-exemplar candidate: keep the worst latency of the current
+      // window. ">" takes the first-retired among ties, which is
+      // deterministic under the single-driver pump.
+      if (resp.latency_us > window_worst_us_ || window_exemplar_trace_ == 0) {
+        window_worst_us_ = resp.latency_us;
+        window_exemplar_trace_ = tb.trace_id();
       }
+      trace_sink_.Publish(std::move(tb).Finish(
+          resp.tenant, resp.request_id,
+          static_cast<std::uint8_t>(resp.status)));
       completed_.push_back(std::move(resp));
     }
   }
@@ -81,20 +88,18 @@ void GraphServer::CompleteShedLocked(PendingRequest victim,
   resp.tenant = victim.request.tenant;
   resp.request_id = victim.request.request_id;
   resp.status = RequestStatus::kShed;
-  resp.trace_id = victim.request.trace.trace_id;
-  resp.latency_us = now_us - victim.arrival_us;
+  resp.trace_id = victim.trace->trace_id();
+  resp.latency_us = ElapsedUs(victim.arrival_us, now_us);
   // Shed latencies are intentionally NOT recorded into the SLO
   // histograms: a shed is its own counted outcome, not a served latency.
   counters_.shed->Add(1);
   counters_.completed->Add(1);
-  if (victim.trace) {
-    // The victim never executed; CloseAll ends its root (and anything
-    // else still open) so the published trace leaks no open spans.
-    victim.trace->CloseAll(now_us);
-    trace_sink_.Publish(std::move(*victim.trace)
-                            .Finish(resp.tenant, resp.request_id,
-                                    static_cast<std::uint8_t>(resp.status)));
-  }
+  // The victim never executed; CloseAll ends its root (and anything else
+  // still open) so the published trace leaks no open spans.
+  victim.trace->CloseAll(now_us);
+  trace_sink_.Publish(std::move(*victim.trace)
+                          .Finish(resp.tenant, resp.request_id,
+                                  static_cast<std::uint8_t>(resp.status)));
   completed_.push_back(std::move(resp));
 }
 
@@ -174,28 +179,17 @@ Status GraphServer::Submit(QueryRequest req, std::uint64_t now_us) {
   }
 
   const std::uint32_t tenant = req.tenant;
-  // Trace identity: derive a deterministic sampled context at the door
-  // when the caller didn't bring one over wire v2. The id is pure in the
-  // request identity (tenant, request_id, rng_seed) — no global sequence,
-  // no wall clock — so batched/solo/retried executions agree.
-  obs::TraceContext ctx = req.trace;
-  std::uint32_t root_parent = obs::kNoParentSpan;
-  if (ctx.unset()) {
-    ctx.trace_id =
-        obs::DeriveTraceId(req.tenant, req.request_id, req.rng_seed);
-    ctx.flags = obs::TraceContext::kSampled;
-  } else {
-    root_parent = ctx.parent_span;
-  }
-  req.trace = ctx;
+  // Trace identity is pure in the request identity (tenant, request_id,
+  // rng_seed) — no global sequence, no wall clock — so batched, solo and
+  // retried executions agree.
+  pending.trace = std::make_unique<obs::TraceBuilder>(
+      obs::DeriveTraceId(req.tenant, req.request_id, req.rng_seed));
+  pending.root_span =
+      pending.trace->StartSpan(obs::SpanKind::kServeRequest,
+                               obs::kNoParentSpan, now_us, 0, 0,
+                               req.seeds.size());
   pending.request = std::move(req);
   pending.arrival_us = now_us;
-  if (ctx.sampled()) {
-    pending.trace = std::make_unique<obs::TraceBuilder>(ctx.trace_id);
-    pending.root_span = pending.trace->StartSpan(
-        obs::SpanKind::kServeRequest, root_parent, now_us, 0, 0,
-        pending.request.seeds.size());
-  }
   Status queued = batcher_.Enqueue(std::move(pending), now_us);
   if (!queued.ok()) {
     // Closed between admission and enqueue: hand the slot back.
@@ -223,8 +217,9 @@ std::size_t GraphServer::DispatchLocked(std::uint64_t now_us, bool force) {
     in_flight.traces.reserve(batch.size());
     in_flight.root_spans.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      exec.responses[i].latency_us = completion - batch[i].arrival_us;
-      exec.responses[i].trace_id = batch[i].request.trace.trace_id;
+      exec.responses[i].latency_us =
+          ElapsedUs(batch[i].arrival_us, completion);
+      exec.responses[i].trace_id = batch[i].trace->trace_id();
       in_flight.tenants.push_back(batch[i].request.tenant);
       in_flight.traces.push_back(std::move(batch[i].trace));
       in_flight.root_spans.push_back(batch[i].root_span);

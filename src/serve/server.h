@@ -14,7 +14,8 @@
 // single execution pipeline that is busy until `busy_until_us_`. A batch
 // formed at time t starts at max(t, busy_until), runs for the executor's
 // virtual service time, and completes at start + service; each request's
-// latency is completion - arrival. Under offered load beyond the
+// latency is completion - arrival (0 when a client's own clock stamped
+// the arrival later than the completion). Under offered load beyond the
 // pipeline's capacity, busy_until runs ahead of arrivals, queues grow,
 // the admission window fills, and the configured policy (block / reject /
 // shed-oldest) decides who pays — exactly the dynamics an SLO bench needs
@@ -26,10 +27,10 @@
 // Observability: the server owns an obs::MetricRegistry covering its own
 // counters plus the admission and batcher series, and an obs::TraceSink
 // of completed request traces. Every request gets a deterministic trace
-// context at the door (unless the caller propagated one over wire v2);
-// spans open at Submit, fan out through the executor per plan step and
-// shard, and close at retirement — all on the virtual clock. EndSloWindow
-// attaches the window's worst-latency trace id to a violated report.
+// id at the door (obs::DeriveTraceId); spans open at Submit, fan out
+// through the executor per plan step and shard, and close at retirement
+// — all on the virtual clock. EndSloWindow attaches the window's
+// worst-latency trace id to a violated report.
 //
 // Threading: Submit may be called from many client threads; Pump/Drain
 // from one driver. Everything deterministic in the tests/bench runs on a
@@ -77,9 +78,9 @@ struct SloReport {
   double p50_us = 0.0;
   double p99_us = 0.0;
   bool violated = false;  ///< count > 0 and p99 above the configured target
-  /// Attached iff `violated`: the worst-latency sampled trace retired in
-  /// this window — the execution record of (one of) the requests that
-  /// blew the tail. Look it up via traces().Find or `pd2gl trace`.
+  /// Attached iff `violated`: the worst-latency trace retired in this
+  /// window — the execution record of (one of) the requests that blew
+  /// the tail. Look it up via traces().Find or `pd2gl trace`.
   std::uint64_t exemplar_trace_id = 0;
 };
 
@@ -180,8 +181,8 @@ class GraphServer {
     std::uint64_t seq = 0;  ///< dispatch order, the deterministic tiebreak
     std::vector<QueryResponse> responses;
     std::vector<std::uint32_t> tenants;
-    /// Parallel to `responses`: the still-open trace of each request
-    /// (null when untraced) and its root span, closed at retirement.
+    /// Parallel to `responses`: the still-open trace of each request and
+    /// its root span, closed at retirement.
     std::vector<std::unique_ptr<obs::TraceBuilder>> traces;
     std::vector<std::uint32_t> root_spans;
   };

@@ -84,17 +84,6 @@ class TopologyStore {
   /// Sum of out-edge weights of src.
   Weight VertexWeight(VertexId src) const;
 
-  /// Current modification stamp of src's samtree (0 when src stores
-  /// nothing — real stamps start at 1). Every mutation path — Apply,
-  /// ApplyBatch, AddEdge/UpdateEdge/RemoveEdge, InstallTree's merge and
-  /// RemoveSource's reset — advances it, so derived structures (the
-  /// hot-vertex sampling cache) can validate cached state with one load.
-  /// See Samtree::version().
-  std::uint64_t TreeVersion(VertexId src) const {
-    const Samtree* tree = trees_.FindUnsafe(src);
-    return tree ? tree->version() : 0;
-  }
-
   /// Draw k out-neighbours of src with replacement; returns false (and
   /// leaves *out* untouched) when src has no out-edges.
   bool SampleNeighbors(VertexId src, std::size_t k, bool weighted,

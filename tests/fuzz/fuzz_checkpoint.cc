@@ -1,14 +1,13 @@
-// Fuzz harness for the io/checkpoint loaders (libFuzzer ABI; see
+// Fuzz harness for the io/checkpoint graph loader (libFuzzer ABI; see
 // fuzz_driver.cc for the GCC fallback driver).
 //
-// LoadGraph / LoadModel consume files, so each input is staged through a
-// per-process scratch path. The first byte routes between the graph and
-// model loaders; the rest is the file image. Both v1 (no CRC, the
+// LoadGraph consumes a file, so each input (the whole file image) is
+// staged through a per-process scratch path. Both v1 (no CRC, the
 // interesting surface: every record is parsed from untrusted bytes) and
 // v2 (CRC-verified, mostly exercises the footer check) images flow
 // through here — the corpus seeds both.
 //
-// Property under test: loaders reject malformed input with a Status —
+// Property under test: the loader rejects malformed input with a Status —
 // never a crash, sanitizer report, or unbounded allocation (the
 // feature-length prefix is bounds-checked against the file size).
 #include <unistd.h>
@@ -17,7 +16,6 @@
 #include <cstdio>
 #include <string>
 
-#include "gnn/model.h"
 #include "io/checkpoint.h"
 #include "storage/graph_store.h"
 
@@ -37,28 +35,18 @@ std::string ScratchPath() {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  if (size == 0) return 0;
   using namespace platod2gl;
   const std::string path = ScratchPath();
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) return 0;
-    if (size > 1) std::fwrite(data + 1, 1, size - 1, f);
+    if (size > 0) std::fwrite(data, 1, size, f);
     std::fclose(f);
   }
-  if (data[0] % 2 == 0) {
-    GraphStoreConfig cfg;
-    cfg.num_shards = 2;
-    cfg.num_relations = 4;
-    GraphStore store(cfg);
-    (void)LoadGraph(path, &store);  // Status either way; must not crash
-  } else {
-    GraphSageConfig cfg;
-    cfg.in_dim = 4;
-    cfg.hidden_dim = 4;
-    cfg.num_classes = 2;
-    GraphSageModel model(cfg, /*seed=*/1);
-    (void)LoadModel(path, &model);
-  }
+  GraphStoreConfig cfg;
+  cfg.num_shards = 2;
+  cfg.num_relations = 4;
+  GraphStore store(cfg);
+  (void)LoadGraph(path, &store);  // Status either way; must not crash
   return 0;
 }

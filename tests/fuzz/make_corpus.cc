@@ -2,10 +2,9 @@
 //
 // Usage: make_corpus <output-dir>
 //
-// Writes wire/, replication/, checkpoint/ and wal/ subdirectories of
-// small, VALID
-// inputs produced by the real encoders (plus a few deliberately edgy
-// ones: empty, header-only, v1-without-footer). The checked-in corpora
+// Writes wire/, replication/ and checkpoint/ subdirectories of small,
+// VALID inputs produced by the real encoders (plus a few deliberately
+// edgy ones: empty, header-only, v1-without-footer). The checked-in corpora
 // under tests/fuzz/corpus/ were produced by this tool; rerun it after a
 // format change and commit the diff.
 #include <cstdint>
@@ -16,17 +15,13 @@
 #include <vector>
 
 #include "dist/wire.h"
-#include "gnn/model.h"
 #include "io/checkpoint.h"
-#include "io/wal.h"
-#include "serve/query_plan.h"
 #include "storage/graph_store.h"
 
 namespace {
 
 using platod2gl::Edge;
 using platod2gl::EdgeUpdate;
-using platod2gl::TimedUpdate;
 using platod2gl::UpdateKind;
 
 void WriteFile(const std::filesystem::path& path, const std::string& bytes) {
@@ -132,8 +127,6 @@ void MakeReplicationCorpus(const std::filesystem::path& dir) {
 }
 
 void MakeCheckpointCorpus(const std::filesystem::path& dir) {
-  using platod2gl::GraphSageConfig;
-  using platod2gl::GraphSageModel;
   using platod2gl::GraphStore;
   using platod2gl::GraphStoreConfig;
 
@@ -150,128 +143,16 @@ void MakeCheckpointCorpus(const std::filesystem::path& dir) {
   store.attributes().SetLabel(2, 7);
   (void)platod2gl::SaveGraph(store, scratch);
   const std::string v2 = FileBytes(scratch);
-  WriteFile(dir / "graph_v2.bin", Tagged('\x00', v2));
+  WriteFile(dir / "graph_v2.bin", v2);
 
   // Synthesise a v1 image: strip the CRC footer, patch version 2 -> 1.
   // v1 is the interesting loader surface — every record is parsed from
   // unverified bytes.
   std::string v1 = v2.substr(0, v2.size() - 4);
   v1[4] = '\x01';
-  WriteFile(dir / "graph_v1.bin", Tagged('\x00', v1));
-
-  GraphSageConfig mcfg;
-  mcfg.in_dim = 4;
-  mcfg.hidden_dim = 4;
-  mcfg.num_classes = 2;
-  GraphSageModel model(mcfg, /*seed=*/1);
-  (void)platod2gl::SaveModel(model, scratch);
-  WriteFile(dir / "model_v2.bin", Tagged('\x01', FileBytes(scratch)));
+  WriteFile(dir / "graph_v1.bin", v1);
 
   std::filesystem::remove(scratch);
-}
-
-void MakeServeCorpus(const std::filesystem::path& dir) {
-  namespace wire = platod2gl::wire;
-  namespace serve = platod2gl::serve;
-
-  // A full GSL-style plan: 2-hop sample, negatives, attribute gather.
-  serve::QueryRequest req;
-  req.tenant = 2;
-  req.request_id = 77;
-  req.rng_seed = 0xBEEF;
-  req.trace.trace_id = 0x5EEDBEEF12345678ULL;
-  req.trace.parent_span = 3;
-  req.trace.flags = platod2gl::obs::TraceContext::kSampled;
-  req.seeds = {1, 2, 3, 42};
-  req.plan.Sample(/*fanout=*/8, /*weighted=*/true)
-      .Sample(/*fanout=*/4, /*weighted=*/false, /*input=*/0)
-      .NegativeSample(/*count=*/16, /*range_lo=*/0, /*range_hi=*/1000,
-                      /*input=*/1)
-      .Gather(/*input=*/1);
-  WriteFile(dir / "query_request.bin",
-            Tagged('\x00', wire::EncodeQueryRequest(req)));
-  // Version negotiation is part of the format surface: a "future" client
-  // seeds the boundary between kUnsupportedVersion and kMalformed, and a
-  // v1 (pre-trace) client pins the still-supported back-compat layout.
-  WriteFile(dir / "query_request_v99.bin",
-            Tagged('\x00', wire::EncodeQueryRequest(req, 99)));
-  WriteFile(dir / "query_request_v1.bin",
-            Tagged('\x00', wire::EncodeQueryRequest(req, 1)));
-
-  serve::QueryRequest tiny;
-  tiny.tenant = 0;
-  tiny.request_id = 1;
-  tiny.rng_seed = 7;
-  tiny.seeds = {5};
-  tiny.plan.Traverse(/*cap=*/4);
-  WriteFile(dir / "query_request_tiny.bin",
-            Tagged('\x00', wire::EncodeQueryRequest(tiny)));
-
-  serve::QueryResponse resp;
-  resp.tenant = 2;
-  resp.request_id = 77;
-  resp.status = serve::RequestStatus::kOk;
-  resp.epoch = 12;
-  resp.trace_id = 0x5EEDBEEF12345678ULL;
-  serve::StageOutput frontier;
-  frontier.ids = {10, 11, 12, 20, 21};
-  frontier.offsets = {0, 3, 5};
-  serve::StageOutput feats;
-  feats.feature_dim = 2;
-  feats.features = {0.5f, -1.0f, 0.0f, 3.25f};
-  resp.stages = {frontier, feats};
-  WriteFile(dir / "query_response.bin",
-            Tagged('\x01', wire::EncodeQueryResponse(resp)));
-  WriteFile(dir / "query_response_v99.bin",
-            Tagged('\x01', wire::EncodeQueryResponse(resp, 99)));
-
-  serve::QueryResponse shed;
-  shed.tenant = 1;
-  shed.request_id = 9;
-  shed.status = serve::RequestStatus::kShed;
-  shed.epoch = 0;
-  WriteFile(dir / "query_response_shed.bin",
-            Tagged('\x01', wire::EncodeQueryResponse(shed)));
-  WriteFile(dir / "query_response_v1.bin",
-            Tagged('\x01', wire::EncodeQueryResponse(resp, 1)));
-
-  WriteFile(dir / "empty_payload.bin", "\x01");
-}
-
-void MakeTraceCorpus(const std::filesystem::path& dir) {
-  namespace wire = platod2gl::wire;
-
-  platod2gl::obs::TraceContext ctx;
-  ctx.trace_id = 0x123456789ABCDEF0ULL;
-  ctx.parent_span = 17;
-  ctx.flags = platod2gl::obs::TraceContext::kSampled;
-  WriteFile(dir / "trace_context.bin", wire::EncodeTraceContext(ctx));
-
-  platod2gl::obs::TraceContext unset;
-  WriteFile(dir / "trace_context_unset.bin", wire::EncodeTraceContext(unset));
-
-  // Version negotiation boundary seed (a "future" peer).
-  WriteFile(dir / "trace_context_v99.bin", wire::EncodeTraceContext(ctx, 99));
-
-  WriteFile(dir / "empty_payload.bin", "");
-  WriteFile(dir / "tag_only.bin", "T");
-}
-
-void MakeWalCorpus(const std::filesystem::path& dir) {
-  std::vector<TimedUpdate> entries;
-  entries.push_back({10, {UpdateKind::kInsert, Edge{1, 2, 1.0, 0}}});
-  entries.push_back({11, {UpdateKind::kInPlaceUpdate, Edge{1, 2, 2.0, 0}}});
-  entries.push_back({12, {UpdateKind::kDelete, Edge{1, 2, 0.0, 0}}});
-
-  const auto v2 = platod2gl::EncodeWal(entries, 2);
-  WriteFile(dir / "wal_v2.bin",
-            std::string(v2.begin(), v2.end()));
-  const auto v1 = platod2gl::EncodeWal(entries, 1);
-  WriteFile(dir / "wal_v1.bin",
-            std::string(v1.begin(), v1.end()));
-  const auto empty = platod2gl::EncodeWal({}, 2);
-  WriteFile(dir / "wal_empty.bin",
-            std::string(empty.begin(), empty.end()));
 }
 
 }  // namespace
@@ -282,8 +163,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::filesystem::path root = argv[1];
-  for (const char* sub : {"wire", "replication", "checkpoint", "wal",
-                          "serve", "trace"}) {
+  for (const char* sub : {"wire", "replication", "checkpoint"}) {
     std::filesystem::create_directories(root / sub);
   }
   std::printf("wire:\n");
@@ -292,11 +172,5 @@ int main(int argc, char** argv) {
   MakeReplicationCorpus(root / "replication");
   std::printf("checkpoint:\n");
   MakeCheckpointCorpus(root / "checkpoint");
-  std::printf("wal:\n");
-  MakeWalCorpus(root / "wal");
-  std::printf("serve:\n");
-  MakeServeCorpus(root / "serve");
-  std::printf("trace:\n");
-  MakeTraceCorpus(root / "trace");
   return 0;
 }

@@ -12,7 +12,6 @@
 
 #include "common/random.h"
 #include "gen/generators.h"
-#include "gnn/model.h"
 
 namespace platod2gl {
 namespace {
@@ -209,58 +208,6 @@ TEST_F(CheckpointTest, RefusesRelationMismatch) {
 
   GraphStore narrow(GraphStoreConfig{.num_relations = 1});
   EXPECT_EQ(LoadGraph(path_.string(), &narrow).code(),
-            StatusCode::kInvalidArgument);
-}
-
-
-TEST_F(CheckpointTest, ModelRoundTripPreservesOutputs) {
-  GraphSageConfig cfg{.in_dim = 6, .hidden_dim = 10, .num_classes = 3};
-  GraphSageModel original(cfg, /*seed=*/5);
-
-  // A fixed forward problem to compare outputs on.
-  SampledSubgraph sg;
-  sg.layers = {{1, 2}, {3, 4, 5}, {6, 7, 8, 9}};
-  sg.parents = {{0, 0, 1}, {0, 1, 2, 2}};
-  GraphSageModel::Inputs in;
-  in.sg = &sg;
-  Xoshiro256 rng(6);
-  in.features = {Tensor::Glorot(2, 6, rng), Tensor::Glorot(3, 6, rng),
-                 Tensor::Glorot(4, 6, rng)};
-
-  // Perturb the weights away from their init by training a bit.
-  original.TrainStep(in, {0, 2}, 0.05f);
-  original.TrainStep(in, {0, 2}, 0.05f);
-  const Tensor expect = original.Forward(in, nullptr);
-
-  ASSERT_TRUE(SaveModel(original, path_.string()).ok());
-
-  GraphSageModel restored(cfg, /*seed=*/999);  // different init
-  ASSERT_TRUE(LoadModel(path_.string(), &restored).ok());
-  const Tensor got = restored.Forward(in, nullptr);
-  ASSERT_EQ(got.rows(), expect.rows());
-  ASSERT_EQ(got.cols(), expect.cols());
-  for (std::size_t r = 0; r < got.rows(); ++r) {
-    for (std::size_t c = 0; c < got.cols(); ++c) {
-      ASSERT_FLOAT_EQ(got(r, c), expect(r, c)) << r << "," << c;
-    }
-  }
-}
-
-TEST_F(CheckpointTest, ModelArchitectureMismatchRejected) {
-  GraphSageModel original(
-      GraphSageConfig{.in_dim = 6, .hidden_dim = 10, .num_classes = 3}, 1);
-  ASSERT_TRUE(SaveModel(original, path_.string()).ok());
-
-  GraphSageModel narrow(
-      GraphSageConfig{.in_dim = 6, .hidden_dim = 8, .num_classes = 3}, 1);
-  EXPECT_EQ(LoadModel(path_.string(), &narrow).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(CheckpointTest, ModelGarbageRejected) {
-  std::ofstream(path_) << "PD2G";  // graph magic, not model magic
-  GraphSageModel model(GraphSageConfig{}, 1);
-  EXPECT_EQ(LoadModel(path_.string(), &model).code(),
             StatusCode::kInvalidArgument);
 }
 

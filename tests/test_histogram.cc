@@ -50,6 +50,13 @@ TEST(HistogramTest, ZeroSampleGoesToBucketZero) {
   EXPECT_EQ(h.PercentileNanos(100), 0u);
 }
 
+TEST(HistogramTest, LargestSampleLandsInTopBucket) {
+  LatencyHistogram h;
+  h.Record(~0ULL);
+  EXPECT_EQ(h.Count(), 1u);
+  EXPECT_EQ(h.Snapshot().buckets[LatencyHistogram::kBuckets - 1], 1u);
+}
+
 TEST(HistogramTest, ResetClears) {
   LatencyHistogram h;
   h.Record(5);

@@ -639,6 +639,43 @@ TEST(SloTrackingTest, ShedRequestsStayOutOfLatencyHistograms) {
   EXPECT_EQ(server.Stats().completed, 2u);
 }
 
+// Client threads stamp arrivals with their own clocks, so a batch can
+// complete before a request's arrival stamp. The latency is then 0, not
+// a wrapped subtraction that indexes past the histogram's buckets.
+TEST(SloTrackingTest, ArrivalAfterCompletionRecordsZeroLatency) {
+  GraphCluster cluster(ServeClusterConfig(2));
+  PopulateGraph(&cluster);
+  EpochCoordinator epochs;
+  GraphServer server(&cluster, &epochs, {});
+
+  ASSERT_TRUE(server.Submit(MakeSampleRequest(0, 1, 1, {1}), 1'000'000).ok());
+  server.Drain(0);
+  const std::vector<QueryResponse> done = server.TakeCompleted();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, RequestStatus::kOk);
+  EXPECT_EQ(done[0].latency_us, 0u);
+  EXPECT_EQ(server.latency().Count(), 1u);
+  EXPECT_EQ(server.tenant_latency(0)->Count(), 1u);
+}
+
+TEST(SloTrackingTest, ShedBeforeArrivalStampHasZeroLatency) {
+  GraphCluster cluster(ServeClusterConfig(2));
+  PopulateGraph(&cluster);
+  EpochCoordinator epochs;
+  ServeConfig cfg;
+  cfg.admission.max_in_flight = 1;
+  cfg.admission.policy = AdmissionPolicy::kShedOldest;
+  cfg.batcher.max_batch = 64;
+  GraphServer server(&cluster, &epochs, cfg);
+
+  ASSERT_TRUE(server.Submit(MakeSampleRequest(0, 1, 1, {1}), 1'000'000).ok());
+  ASSERT_TRUE(server.Submit(MakeSampleRequest(1, 2, 2, {2}), 5).ok());
+  const std::vector<QueryResponse> done = server.TakeCompleted();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, RequestStatus::kShed);
+  EXPECT_EQ(done[0].latency_us, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Degradation visibility: a crashed shard yields kDegraded, not a hang.
 // ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@
 // Labels: obs;serve.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "dist/cluster.h"
@@ -27,7 +27,6 @@ using obs::Span;
 using obs::SpanKind;
 using obs::Trace;
 using obs::TraceBuilder;
-using obs::TraceContext;
 using obs::TraceSink;
 using serve::GraphServer;
 using serve::QueryRequest;
@@ -90,12 +89,12 @@ TEST(TraceBuilderTest, BoundedSpansDropPastTheCap) {
   b.StartSpan(SpanKind::kPlanSample, a, 0);
   const std::uint32_t dropped = b.StartSpan(SpanKind::kPlanGather, a, 0);
   EXPECT_EQ(dropped, TraceBuilder::kDroppedSpan);
-  EXPECT_EQ(b.NumSpans(), 2u);
   EXPECT_EQ(b.dropped_spans(), 1u);
   // Ending a dropped span is a harmless no-op.
   b.EndSpan(TraceBuilder::kDroppedSpan, 5);
   b.CloseAll(9);
   EXPECT_TRUE(b.AllClosed());
+  EXPECT_EQ(std::move(b).Finish(0, 0, 0).spans.size(), 2u);
 }
 
 TEST(TraceBuilderTest, CloseAllOnlyTouchesOpenSpans) {
@@ -278,43 +277,6 @@ TEST(TraceServeTest, ResponsesCarryTheDerivedTraceId) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(resp[0].trace_id, DeriveTraceId(1, 5, 9));
   EXPECT_TRUE(server.traces().Find(resp[0].trace_id).has_value());
-}
-
-TEST(TraceServeTest, PropagatedContextKeepsIdAndParent) {
-  GraphCluster cluster(ServeClusterConfig(2));
-  PopulateGraph(&cluster);
-  EpochCoordinator epochs;
-  GraphServer server(&cluster, &epochs, {});
-
-  // A sampled upstream context: the server must attach under it rather
-  // than derive a fresh id.
-  QueryRequest req = MakeDeepRequest(0, /*id=*/1, /*rng_seed=*/1, {1});
-  req.trace = TraceContext{/*trace_id=*/0xABCDEFu, /*parent_span=*/7,
-                           TraceContext::kSampled};
-  ASSERT_TRUE(server.Submit(req, 0).ok());
-
-  // An unsampled upstream context: the id rides through, but no spans
-  // are recorded.
-  QueryRequest quiet = MakeDeepRequest(0, /*id=*/2, /*rng_seed=*/2, {2});
-  quiet.trace = TraceContext{/*trace_id=*/0x5151u, /*parent_span=*/0,
-                             /*flags=*/0};
-  ASSERT_TRUE(server.Submit(quiet, 0).ok());
-
-  server.Drain(0);
-  std::vector<QueryResponse> resp = server.TakeCompleted();
-  ASSERT_EQ(resp.size(), 2u);
-  std::sort(resp.begin(), resp.end(),
-            [](const QueryResponse& a, const QueryResponse& b) {
-              return a.request_id < b.request_id;
-            });
-  EXPECT_EQ(resp[0].trace_id, 0xABCDEFu);
-  EXPECT_EQ(resp[1].trace_id, 0x5151u);
-
-  const std::optional<Trace> t = server.traces().Find(0xABCDEFu);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->spans[0].parent, 7u) << "root attaches under the caller's span";
-  EXPECT_FALSE(server.traces().Find(0x5151u).has_value())
-      << "unsampled context records no spans";
 }
 
 // ---------------------------------------------------------------------------

@@ -447,9 +447,8 @@ TEST(RepWireFuzzTest, NonContiguousEntriesAreRejected) {
 }
 
 template <typename DecodeFn, typename EncodeFn, typename Msg>
-void VersionedBitFlipSweep(const std::string& clean, DecodeFn decode,
-                           EncodeFn encode, Msg* scratch,
-                           std::uint8_t current_version) {
+void RepBitFlipSweep(const std::string& clean, DecodeFn decode,
+                     EncodeFn encode, Msg* scratch) {
   std::size_t accepted = 0;
   for (std::size_t byte = 0; byte < clean.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -464,7 +463,7 @@ void VersionedBitFlipSweep(const std::string& clean, DecodeFn decode,
       }
       if (r != DecodeResult::kOk) continue;
       ++accepted;
-      const std::string re = encode(*scratch, current_version);
+      const std::string re = encode(*scratch, wire::kReplicationWireVersion);
       ASSERT_EQ(re.size(), mutated.size())
           << "byte " << byte << " bit " << bit
           << ": partial parse slipped through";
@@ -473,13 +472,6 @@ void VersionedBitFlipSweep(const std::string& clean, DecodeFn decode,
     }
   }
   EXPECT_GT(accepted, 0u);
-}
-
-template <typename DecodeFn, typename EncodeFn, typename Msg>
-void RepBitFlipSweep(const std::string& clean, DecodeFn decode,
-                     EncodeFn encode, Msg* scratch) {
-  VersionedBitFlipSweep(clean, decode, encode, scratch,
-                        wire::kReplicationWireVersion);
 }
 
 TEST(RepWireFuzzTest, AppendSurvivesFullBitFlipSweep) {
@@ -504,298 +496,6 @@ TEST(RepWireFuzzTest, SnapshotSurvivesFullBitFlipSweep) {
   RepSnapshot scratch;
   RepBitFlipSweep(EncodeRepSnapshot(MakeSnapshot()), DecodeRepSnapshot,
                   EncodeRepSnapshot, &scratch);
-}
-
-// --- Serving messages (versioned; see docs/serving.md) ----------------------
-
-using wire::DecodeQueryRequest;
-using wire::DecodeQueryResponse;
-using wire::EncodeQueryRequest;
-using wire::EncodeQueryResponse;
-
-serve::QueryRequest MakeQuery() {
-  serve::QueryRequest req;
-  req.tenant = 3;
-  req.request_id = 1234;
-  req.rng_seed = 0xABCDEF;
-  req.trace.trace_id = 0xDEADBEEFCAFEULL;
-  req.trace.parent_span = 42;
-  req.trace.flags = obs::TraceContext::kSampled;
-  req.seeds = {1, 99, 12345678901234ULL};
-  req.plan.Sample(/*fanout=*/8, /*weighted=*/true)
-      .NegativeSample(/*count=*/16, /*range_lo=*/0, /*range_hi=*/1000,
-                      /*input=*/0)
-      .Gather(/*input=*/0);
-  return req;
-}
-
-serve::QueryResponse MakeQueryResponse() {
-  serve::QueryResponse resp;
-  resp.tenant = 3;
-  resp.request_id = 1234;
-  resp.status = serve::RequestStatus::kDegraded;
-  resp.epoch = 7;
-  resp.trace_id = 0xDEADBEEFCAFEULL;
-  serve::StageOutput frontier;
-  frontier.ids = {5, 6, 7, 100, 101};
-  frontier.offsets = {0, 3, 3, 5};  // middle seed empty
-  serve::StageOutput feats;
-  feats.feature_dim = 2;
-  feats.features = {1.0f, -0.5f, 0.0f, 2.25f};
-  resp.stages = {frontier, feats};
-  return resp;
-}
-
-DecodeResult TryQuery(const std::string& bytes) {
-  serve::QueryRequest out;
-  return DecodeQueryRequest(bytes, &out);
-}
-DecodeResult TryQueryResponse(const std::string& bytes) {
-  serve::QueryResponse out;
-  return DecodeQueryResponse(bytes, &out);
-}
-
-TEST(ServeWireFuzzTest, CleanMessagesRoundTripExactly) {
-  serve::QueryRequest req;
-  ASSERT_EQ(DecodeQueryRequest(EncodeQueryRequest(MakeQuery()), &req),
-            DecodeResult::kOk);
-  EXPECT_EQ(req, MakeQuery());
-  serve::QueryResponse resp;
-  ASSERT_EQ(
-      DecodeQueryResponse(EncodeQueryResponse(MakeQueryResponse()), &resp),
-      DecodeResult::kOk);
-  EXPECT_EQ(resp, MakeQueryResponse());
-}
-
-TEST(ServeWireFuzzTest, EveryTruncationIsRejected) {
-  const std::string msgs[] = {EncodeQueryRequest(MakeQuery()),
-                              EncodeQueryResponse(MakeQueryResponse())};
-  DecodeResult (*decoders[])(const std::string&) = {TryQuery,
-                                                    TryQueryResponse};
-  for (int m = 0; m < 2; ++m) {
-    for (std::size_t n = 0; n < msgs[m].size(); ++n) {
-      EXPECT_NE(decoders[m](msgs[m].substr(0, n)), DecodeResult::kOk)
-          << "message " << m << " prefix length " << n;
-    }
-    EXPECT_EQ(decoders[m](msgs[m]), DecodeResult::kOk) << "message " << m;
-  }
-}
-
-TEST(ServeWireFuzzTest, TrailingGarbageIsRejected) {
-  for (const char extra : {'\0', 'Q', '\xFF'}) {
-    EXPECT_NE(TryQuery(EncodeQueryRequest(MakeQuery()) + extra),
-              DecodeResult::kOk);
-    EXPECT_NE(
-        TryQueryResponse(EncodeQueryResponse(MakeQueryResponse()) + extra),
-        DecodeResult::kOk);
-  }
-}
-
-TEST(ServeWireFuzzTest, AbsurdCountsAreRejectedWithoutAllocating) {
-  {  // seed count far beyond the remaining bytes
-    std::string bytes = "Q";
-    Append<std::uint8_t>(&bytes, wire::kServeWireVersion);
-    Append<std::uint32_t>(&bytes, 3);           // tenant
-    Append<std::uint64_t>(&bytes, 1);           // request_id
-    Append<std::uint64_t>(&bytes, 7);           // rng_seed
-    Append<std::uint32_t>(&bytes, 0xFFFFFFFFu); // seed count
-    bytes += "xx";
-    EXPECT_EQ(TryQuery(bytes), DecodeResult::kMalformed);
-  }
-  {  // absurd stage count in a response
-    std::string bytes = "P";
-    Append<std::uint8_t>(&bytes, wire::kServeWireVersion);
-    Append<std::uint32_t>(&bytes, 3);           // tenant
-    Append<std::uint64_t>(&bytes, 1);           // request_id
-    Append<std::uint8_t>(&bytes, 0);            // status
-    Append<std::uint64_t>(&bytes, 7);           // epoch
-    Append<std::uint32_t>(&bytes, 0xFFFFFFFFu); // stage count
-    bytes += "xx";
-    EXPECT_EQ(TryQueryResponse(bytes), DecodeResult::kMalformed);
-  }
-  {  // plausible stage count, absurd ids length inside stage 0
-    std::string bytes = "P";
-    Append<std::uint8_t>(&bytes, wire::kServeWireVersion);
-    Append<std::uint32_t>(&bytes, 3);
-    Append<std::uint64_t>(&bytes, 1);
-    Append<std::uint8_t>(&bytes, 0);
-    Append<std::uint64_t>(&bytes, 7);
-    Append<std::uint32_t>(&bytes, 1);            // one stage
-    Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);  // ids_len
-    bytes += "xxxxxxxx";
-    EXPECT_EQ(TryQueryResponse(bytes), DecodeResult::kMalformed);
-  }
-}
-
-TEST(ServeWireFuzzTest, V1MessagesStillDecode) {
-  // Wire v2 added the trace fields; a v1 peer's messages must keep
-  // decoding — with an unset trace context — and the v1 byte layout must
-  // not depend on any trace state the encoder was handed.
-  const serve::QueryRequest traced = MakeQuery();
-  serve::QueryRequest plain = traced;
-  plain.trace = obs::TraceContext{};
-  EXPECT_EQ(EncodeQueryRequest(traced, 1), EncodeQueryRequest(plain, 1));
-  serve::QueryRequest req;
-  ASSERT_EQ(DecodeQueryRequest(EncodeQueryRequest(traced, 1), &req),
-            DecodeResult::kOk);
-  EXPECT_EQ(req, plain);
-
-  serve::QueryResponse traced_resp = MakeQueryResponse();
-  serve::QueryResponse plain_resp = traced_resp;
-  plain_resp.trace_id = 0;
-  EXPECT_EQ(EncodeQueryResponse(traced_resp, 1),
-            EncodeQueryResponse(plain_resp, 1));
-  serve::QueryResponse resp;
-  ASSERT_EQ(DecodeQueryResponse(EncodeQueryResponse(traced_resp, 1), &resp),
-            DecodeResult::kOk);
-  EXPECT_EQ(resp, plain_resp);
-}
-
-TEST(ServeWireFuzzTest, UnknownVersionIsNegotiationFailureNotCorruption) {
-  for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{3},
-                               std::uint8_t{99}, std::uint8_t{255}}) {
-    EXPECT_EQ(TryQuery(EncodeQueryRequest(MakeQuery(), v)),
-              DecodeResult::kUnsupportedVersion)
-        << "version " << int{v};
-    EXPECT_EQ(TryQueryResponse(EncodeQueryResponse(MakeQueryResponse(), v)),
-              DecodeResult::kUnsupportedVersion);
-  }
-  // A wrong tag is NOT a version problem.
-  EXPECT_EQ(TryQuery(EncodeQueryResponse(MakeQueryResponse())),
-            DecodeResult::kMalformed);
-  EXPECT_EQ(TryQueryResponse(EncodeQueryRequest(MakeQuery())),
-            DecodeResult::kMalformed);
-  EXPECT_EQ(TryQuery(""), DecodeResult::kMalformed);
-}
-
-TEST(ServeWireFuzzTest, MalformedOffsetsAreRejected) {
-  // Offsets must be a valid CSR index over ids: 0-anchored,
-  // non-decreasing, ending at ids_len. Each violation is kMalformed, not
-  // a crash in downstream frontier consumers.
-  serve::QueryResponse resp = MakeQueryResponse();
-  resp.stages[0].offsets = {1, 3, 3, 5};  // not 0-anchored
-  EXPECT_EQ(TryQueryResponse(EncodeQueryResponse(resp)),
-            DecodeResult::kMalformed);
-  resp = MakeQueryResponse();
-  resp.stages[0].offsets = {0, 3, 2, 5};  // decreasing
-  EXPECT_EQ(TryQueryResponse(EncodeQueryResponse(resp)),
-            DecodeResult::kMalformed);
-  resp = MakeQueryResponse();
-  resp.stages[0].offsets = {0, 3, 3, 4};  // back() != ids_len
-  EXPECT_EQ(TryQueryResponse(EncodeQueryResponse(resp)),
-            DecodeResult::kMalformed);
-  resp = MakeQueryResponse();
-  resp.stages[1].features = {1.0f, 2.0f, 3.0f};  // not a multiple of dim 2
-  EXPECT_EQ(TryQueryResponse(EncodeQueryResponse(resp)),
-            DecodeResult::kMalformed);
-}
-
-TEST(ServeWireFuzzTest, RequestSurvivesFullBitFlipSweep) {
-  serve::QueryRequest scratch;
-  VersionedBitFlipSweep(EncodeQueryRequest(MakeQuery()), DecodeQueryRequest,
-                      EncodeQueryRequest, &scratch, wire::kServeWireVersion);
-}
-
-TEST(ServeWireFuzzTest, ResponseSurvivesFullBitFlipSweep) {
-  serve::QueryResponse scratch;
-  VersionedBitFlipSweep(EncodeQueryResponse(MakeQueryResponse()),
-                      DecodeQueryResponse, EncodeQueryResponse, &scratch,
-                      wire::kServeWireVersion);
-}
-
-TEST(ServeWireFuzzTest, RandomGarbageNeverCrashesDecoders) {
-  SplitMix64 rng(0x5E24E5EEDULL);
-  for (int iter = 0; iter < 2000; ++iter) {
-    const std::size_t len = rng.Next() % 96;
-    std::string bytes;
-    bytes.reserve(len + 2);
-    if (rng.Next() & 1) {
-      bytes.push_back("QP"[rng.Next() % 2]);
-      if (rng.Next() & 1) {
-        bytes.push_back(static_cast<char>(wire::kServeWireVersion));
-      }
-    }
-    while (bytes.size() < len) {
-      bytes.push_back(static_cast<char>(rng.Next()));
-    }
-    TryQuery(bytes);
-    TryQueryResponse(bytes);
-  }
-}
-
-// --- Trace-context propagation message (obs/trace.h) ------------------------
-
-using wire::DecodeTraceContext;
-using wire::EncodeTraceContext;
-
-obs::TraceContext MakeTrace() {
-  obs::TraceContext ctx;
-  ctx.trace_id = 0x123456789ABCDEF0ULL;
-  ctx.parent_span = 17;
-  ctx.flags = obs::TraceContext::kSampled;
-  return ctx;
-}
-
-DecodeResult TryTrace(const std::string& bytes) {
-  obs::TraceContext out;
-  return DecodeTraceContext(bytes, &out);
-}
-
-TEST(TraceWireFuzzTest, CleanContextRoundTripsExactly) {
-  obs::TraceContext out;
-  ASSERT_EQ(DecodeTraceContext(EncodeTraceContext(MakeTrace()), &out),
-            DecodeResult::kOk);
-  EXPECT_EQ(out, MakeTrace());
-}
-
-TEST(TraceWireFuzzTest, EveryTruncationIsRejected) {
-  const std::string full = EncodeTraceContext(MakeTrace());
-  for (std::size_t n = 0; n < full.size(); ++n) {
-    EXPECT_EQ(TryTrace(full.substr(0, n)), DecodeResult::kMalformed)
-        << "prefix length " << n;
-  }
-  EXPECT_EQ(TryTrace(full), DecodeResult::kOk);
-  EXPECT_EQ(TryTrace(full + '\0'), DecodeResult::kMalformed)
-      << "trailing garbage must be rejected";
-}
-
-TEST(TraceWireFuzzTest, UnknownVersionIsNegotiationFailureNotCorruption) {
-  for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{2},
-                               std::uint8_t{99}, std::uint8_t{255}}) {
-    EXPECT_EQ(TryTrace(EncodeTraceContext(MakeTrace(), v)),
-              DecodeResult::kUnsupportedVersion)
-        << "version " << int{v};
-  }
-  // A wrong tag is NOT a version problem.
-  EXPECT_EQ(TryTrace(EncodeQueryRequest(MakeQuery())),
-            DecodeResult::kMalformed);
-  EXPECT_EQ(TryTrace(""), DecodeResult::kMalformed);
-}
-
-TEST(TraceWireFuzzTest, ContextSurvivesFullBitFlipSweep) {
-  obs::TraceContext scratch;
-  VersionedBitFlipSweep(EncodeTraceContext(MakeTrace()), DecodeTraceContext,
-                        EncodeTraceContext, &scratch,
-                        wire::kTraceWireVersion);
-}
-
-TEST(TraceWireFuzzTest, RandomGarbageNeverCrashesDecoder) {
-  SplitMix64 rng(0x7A5CE5EEDULL);
-  for (int iter = 0; iter < 2000; ++iter) {
-    const std::size_t len = rng.Next() % 32;
-    std::string bytes;
-    bytes.reserve(len + 2);
-    if (rng.Next() & 1) {
-      bytes.push_back('T');
-      if (rng.Next() & 1) {
-        bytes.push_back(static_cast<char>(wire::kTraceWireVersion));
-      }
-    }
-    while (bytes.size() < len) {
-      bytes.push_back(static_cast<char>(rng.Next()));
-    }
-    TryTrace(bytes);
-  }
 }
 
 TEST(RepWireFuzzTest, RandomGarbageNeverCrashesDecoders) {
