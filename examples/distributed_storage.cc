@@ -52,8 +52,6 @@ int main() {
                 cluster.shard(s).store().NumEdges(),
                 (unsigned long long)cluster.shard(s).wal_seq());
   }
-  std::printf("load imbalance (max/min edges): %.3f\n",
-              cluster.LoadImbalance());
 
   // Batched cross-shard sampling: one RPC per shard per batch instead of
   // one per seed.

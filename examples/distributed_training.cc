@@ -78,10 +78,8 @@ int main() {
     (v % 5 == 0 ? test_seeds : train_seeds).push_back(v);
   }
   cluster.ApplyBatch(bootstrap);
-  std::printf("graph servers hold %zu edges across %zu shards "
-              "(imbalance %.2f)\n\n",
-              cluster.NumEdges(), cluster.num_shards(),
-              cluster.LoadImbalance());
+  std::printf("graph servers hold %zu edges across %zu shards\n\n",
+              cluster.NumEdges(), cluster.num_shards());
 
   // Training server: GraphSAGE fed by remote sampling + remote features.
   GraphSageModel model(

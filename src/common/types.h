@@ -1,6 +1,8 @@
 // Core identifier and edge types shared by every PlatoD2GL module.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -46,6 +48,22 @@ struct EdgeUpdate {
 
   friend bool operator==(const EdgeUpdate&, const EdgeUpdate&) = default;
 };
+
+/// Whether a store of `num_relations` edge relations can hold `u`: its
+/// type names one of them, neither endpoint is kInvalidVertex (the vertex
+/// map asserts it never sees that key), and an insert or in-place update
+/// carries a finite weight >= 0 (the rule Samtree::CheckInvariants
+/// enforces; a delete's weight is never read). GraphCluster::ApplyBatch
+/// and UpdateIngestor::Offer refuse an update that fails it before it is
+/// logged or applied.
+inline bool IsValidUpdate(const EdgeUpdate& u, std::size_t num_relations) {
+  if (u.edge.type >= num_relations) return false;
+  if (u.edge.src == kInvalidVertex || u.edge.dst == kInvalidVertex) {
+    return false;
+  }
+  return u.kind == UpdateKind::kDelete ||
+         (std::isfinite(u.edge.weight) && u.edge.weight >= 0.0);
+}
 
 /// A sampled neighbour: destination vertex plus the weight of the edge
 /// that was traversed.

@@ -775,7 +775,6 @@ struct RangeQuery {
   VertexId lo;
   VertexId hi;
   std::size_t count = 0;
-  std::vector<std::pair<VertexId, Weight>>* collect = nullptr;
 };
 
 /// [subtree_lo, subtree_hi] is a conservative bound on the IDs under n.
@@ -785,18 +784,13 @@ void RangeVisit(const Samtree::Node* n, VertexId subtree_lo,
 
   if (n->is_leaf) {
     const auto* leaf = static_cast<const LeafNode*>(n);
-    const bool contained = subtree_lo >= q->lo && subtree_hi <= q->hi;
-    if (contained && !q->collect) {
+    if (subtree_lo >= q->lo && subtree_hi <= q->hi) {
       q->count += leaf->ids.size();
       return;
     }
-    const std::vector<Weight> weights =
-        q->collect ? leaf->fstable.DecodeWeights() : std::vector<Weight>();
     for (std::size_t i = 0; i < leaf->ids.size(); ++i) {
       const VertexId v = leaf->ids.Get(i);
-      if (v < q->lo || v > q->hi) continue;
-      ++q->count;
-      if (q->collect) q->collect->emplace_back(v, weights[i]);
+      if (v >= q->lo && v <= q->hi) ++q->count;
     }
     return;
   }
@@ -809,7 +803,7 @@ void RangeVisit(const Samtree::Node* n, VertexId subtree_lo,
                                   ? in->min_ids.Get(j + 1) - 1
                                   : subtree_hi;
     if (child_lo > q->hi || child_hi < q->lo) continue;
-    if (child_lo >= q->lo && child_hi <= q->hi && !q->collect) {
+    if (child_lo >= q->lo && child_hi <= q->hi) {
       q->count += in->counts[j];  // fully covered: O(1)
       continue;
     }
@@ -824,15 +818,6 @@ std::size_t Samtree::CountInRange(VertexId lo, VertexId hi) const {
   RangeQuery q{lo, hi};
   RangeVisit(root_.get(), 0, kInvalidVertex, &q);
   return q.count;
-}
-
-std::vector<std::pair<VertexId, Weight>> Samtree::NeighborsInRange(
-    VertexId lo, VertexId hi) const {
-  std::vector<std::pair<VertexId, Weight>> out;
-  if (!root_ || lo > hi) return out;
-  RangeQuery q{lo, hi, 0, &out};
-  RangeVisit(root_.get(), 0, kInvalidVertex, &q);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -884,34 +869,6 @@ std::vector<std::pair<VertexId, Weight>> Samtree::Neighbors() const {
 void Samtree::ForEachNeighbor(
     const std::function<void(VertexId, Weight)>& fn) const {
   if (root_) VisitNeighbors(root_.get(), fn);
-}
-
-namespace {
-
-void CollectSorted(const Samtree::Node* n, std::vector<VertexId>* out) {
-  if (n->is_leaf) {
-    const auto* leaf = static_cast<const LeafNode*>(n);
-    const std::size_t begin = out->size();
-    for (std::size_t i = 0; i < leaf->ids.size(); ++i) {
-      out->push_back(leaf->ids.Get(i));
-    }
-    // Only the leaf's own entries are unordered; leaves arrive in ID
-    // order because internal children are ID-partitioned.
-    std::sort(out->begin() + static_cast<std::ptrdiff_t>(begin), out->end());
-    return;
-  }
-  for (const auto& child : static_cast<const InternalNode*>(n)->children) {
-    CollectSorted(child.get(), out);
-  }
-}
-
-}  // namespace
-
-std::vector<VertexId> Samtree::SortedIds() const {
-  std::vector<VertexId> out;
-  out.reserve(count_);
-  if (root_) CollectSorted(root_.get(), &out);
-  return out;
 }
 
 MemoryBreakdown Samtree::Memory() const {

@@ -87,10 +87,6 @@ class Samtree {
   static Samtree BulkBuild(std::vector<std::pair<VertexId, Weight>> neighbors,
                            SamtreeConfig config = {});
 
-  /// Deep copy (Samtree is move-only; copies are explicit). Built via
-  /// BulkBuild, so the clone is freshly balanced.
-  Samtree Clone() const { return BulkBuild(Neighbors(), config_); }
-
   Samtree(Samtree&&) noexcept;
   Samtree& operator=(Samtree&&) noexcept;
   Samtree(const Samtree&) = delete;
@@ -174,10 +170,6 @@ class Samtree {
   /// ID-partitioned internal nodes and per-child counts.
   std::size_t CountInRange(VertexId lo, VertexId hi) const;
 
-  /// All (neighbour, weight) pairs with ID in [lo, hi].
-  std::vector<std::pair<VertexId, Weight>> NeighborsInRange(
-      VertexId lo, VertexId hi) const;
-
   /// All (neighbour, weight) pairs, in arbitrary order — O(n).
   std::vector<std::pair<VertexId, Weight>> Neighbors() const;
 
@@ -186,11 +178,6 @@ class Samtree {
   /// decoded weights at a time).
   void ForEachNeighbor(
       const std::function<void(VertexId, Weight)>& fn) const;
-
-  /// All neighbour IDs in ascending order. Leaves are ID-disjoint
-  /// intervals, so only each leaf's n_L entries need sorting:
-  /// O(n log n_L) instead of O(n log n).
-  std::vector<VertexId> SortedIds() const;
 
   /// Bytes used, split into topology / index / other.
   MemoryBreakdown Memory() const;

@@ -24,6 +24,15 @@ std::vector<float>& Values(wire::FeatureBatch& b) { return b.values; }
 
 /// Fallback of a round without replica reads: the shard's ids degrade.
 constexpr auto kNoFallback = [](auto&&...) { return false; };
+
+/// RunRpc's backoff schedule and timeout cost, in virtual microseconds:
+/// the first retry waits kInitialBackoffUs (±25% jitter), each later one
+/// kBackoffMultiplier times longer, capped at kMaxBackoffUs. An attempt
+/// whose response never arrives costs kTimeoutUs.
+constexpr std::uint64_t kInitialBackoffUs = 200;
+constexpr std::uint64_t kBackoffMultiplier = 2;
+constexpr std::uint64_t kMaxBackoffUs = 5000;
+constexpr std::uint64_t kTimeoutUs = 2000;
 }  // namespace
 
 GraphCluster::GraphCluster(ClusterConfig config)
@@ -138,7 +147,7 @@ GraphCluster::RpcOutcome GraphCluster::RunRpc(std::size_t s, Body&& body) {
   const std::size_t max_attempts =
       std::max<std::size_t>(std::size_t{1}, retry.max_attempts);
   RpcOutcome out;
-  std::uint64_t backoff = retry.initial_backoff_us;
+  std::uint64_t backoff = kInitialBackoffUs;
   // Deterministic backoff jitter, drawn from a stream unrelated to both
   // the fault decisions and the sampling RNGs.
   SplitMix64 jitter(config_.fault.seed ^ (0xBF58476D1CE4E5B9ULL * (s + 1)));
@@ -165,7 +174,7 @@ GraphCluster::RpcOutcome GraphCluster::RunRpc(std::size_t s, Body&& body) {
           ++out.transient_faults;
           break;
         case FaultInjector::Fault::kTimeout:  // response never arrives
-          out.virtual_us += std::max(config_.rpc_latency_us, retry.timeout_us);
+          out.virtual_us += std::max(config_.rpc_latency_us, kTimeoutUs);
           ++out.transient_faults;
           break;
         case FaultInjector::Fault::kCorrupt:  // response damaged in flight
@@ -191,10 +200,7 @@ GraphCluster::RpcOutcome GraphCluster::RunRpc(std::size_t s, Body&& body) {
       break;
     }
     out.virtual_us += wait;
-    backoff = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(static_cast<double>(backoff) *
-                                   retry.backoff_multiplier),
-        retry.max_backoff_us);
+    backoff = std::min(backoff * kBackoffMultiplier, kMaxBackoffUs);
   }
   return out;
 }
@@ -254,8 +260,22 @@ void GraphCluster::FanOut(HasWork&& has_work, Body&& body) {
 }
 
 Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
+  // Refuse what the stores cannot hold before any WAL logs it: a logged
+  // update that the store throws on would fail every later replay.
+  const std::size_t relations =
+      std::max<std::size_t>(1, config_.shard_config.num_relations);
+  Status result = Status::Ok();
   std::vector<std::vector<EdgeUpdate>> per_shard(shards_.size());
   for (const EdgeUpdate& u : batch) {
+    if (!IsValidUpdate(u, relations)) {
+      if (result.ok()) {
+        result = Status::InvalidArgument(
+            "update " + std::to_string(u.edge.src) + "->" +
+            std::to_string(u.edge.dst) +
+            " refused: bad type, vertex or weight");
+      }
+      continue;
+    }
     per_shard[partitioner_.ShardOf(u.edge.src)].push_back(u);
   }
   std::vector<RpcOutcome> outcomes(shards_.size());
@@ -265,7 +285,6 @@ Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
            handoff[s] = injector_.IsCrashed(s) ? 1 : 0;
            outcomes[s] = DeliverUpdates(s, per_shard[s]);
          });
-  Status result = Status::Ok();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto& group = per_shard[s];
     if (group.empty()) continue;
@@ -635,18 +654,6 @@ std::size_t GraphCluster::NumEdges() const {
   std::size_t n = 0;
   for (const auto& s : shards_) n += s->store().NumEdges();
   return n;
-}
-
-double GraphCluster::LoadImbalance() const {
-  std::size_t max_edges = 0;
-  std::size_t min_edges = static_cast<std::size_t>(-1);
-  for (const auto& s : shards_) {
-    const std::size_t e = s->store().NumEdges();
-    max_edges = std::max(max_edges, e);
-    min_edges = std::min(min_edges, e);
-  }
-  if (min_edges == 0) return static_cast<double>(max_edges);
-  return static_cast<double>(max_edges) / static_cast<double>(min_edges);
 }
 
 }  // namespace platod2gl

@@ -52,18 +52,14 @@
 namespace platod2gl {
 
 /// Client-side resilience knobs for one logical RPC (one shard, one
-/// group of seeds/updates). All waits are virtual time, never slept.
+/// group of seeds/updates). All waits are virtual time, never slept; the
+/// backoff schedule and the timeout cost are fixed in cluster.cc.
 struct RetryPolicy {
   std::size_t max_attempts = 3;
-  std::uint64_t initial_backoff_us = 200;
-  double backoff_multiplier = 2.0;
-  std::uint64_t max_backoff_us = 5000;
   /// Per-call virtual deadline: once the accumulated virtual cost of
   /// attempts + backoffs reaches this, the call gives up (degraded
   /// sampling / failed update delivery) instead of retrying further.
   std::uint64_t deadline_us = 50000;
-  /// Virtual cost charged for an attempt whose response never arrives.
-  std::uint64_t timeout_us = 2000;
 };
 
 struct ClusterConfig {
@@ -186,15 +182,18 @@ class GraphCluster {
   explicit GraphCluster(ClusterConfig config = {});
 
   /// ApplyBatch({update}): route one update to its owning shard. Non-OK
-  /// only if it could not be delivered or durably logged within the retry
-  /// budget.
+  /// if the update is refused, or could not be delivered or durably logged
+  /// within the retry budget.
   Status Apply(const EdgeUpdate& update) { return ApplyBatch({update}); }
 
   /// Apply a batch: updates are grouped per shard and shipped as one RPC
   /// per non-empty shard, executed in parallel. Updates owned by a crashed
   /// shard are durably appended to its WAL (hinted handoff, replayed by
-  /// RecoverShard); transient RPC faults are retried. Non-OK reports
-  /// updates that were lost past the retry budget (stats().lost_updates).
+  /// RecoverShard); transient RPC faults are retried. An update that fails
+  /// IsValidUpdate (common/types.h) is neither logged nor applied, the
+  /// rest of the batch proceeds, and the call returns kInvalidArgument.
+  /// Otherwise non-OK reports updates that were lost past the retry budget
+  /// (stats().lost_updates).
   Status ApplyBatch(const std::vector<EdgeUpdate>& batch);
 
   /// Batched neighbour sampling across shards: seeds are grouped by owner,
@@ -318,10 +317,6 @@ class GraphCluster {
   /// Per-RPC compute-latency distribution (excludes the virtual network
   /// cost). Thread-safe.
   const LatencyHistogram& rpc_latency() const { return rpc_latency_; }
-
-  /// Max/min shard load ratio — the balance metric hash-by-source is
-  /// chosen for.
-  double LoadImbalance() const;
 
  private:
   /// Outcome of one logical RPC (all attempts against one shard).

@@ -55,11 +55,14 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   return std::ferror(fp.f) == 0;
 }
 
+/// Keyrange buckets per anti-entropy digest.
+constexpr std::size_t kDigestBuckets = 16;
+
 /// Keyrange bucket of a source vertex: SplitMix64-mixed so contiguous id
 /// ranges spread across buckets (primary and replica agree by construction).
-std::size_t BucketOf(VertexId src, std::size_t buckets) {
+std::size_t BucketOf(VertexId src) {
   SplitMix64 sm(src);
-  return static_cast<std::size_t>(sm.Next() % buckets);
+  return static_cast<std::size_t>(sm.Next() % kDigestBuckets);
 }
 
 /// CRC-32 of one edge's topology record (type, src, dst, weight), packed
@@ -80,15 +83,14 @@ std::uint32_t EdgeCrc(EdgeType type, VertexId src, VertexId dst, Weight w) {
 /// digest identically even if their iteration orders differ (a replica
 /// bootstrapped from a snapshot may iterate differently from one that
 /// replayed the whole log).
-void ComputeDigest(const GraphStore& store, std::size_t buckets,
-                   std::vector<std::uint64_t>* counts,
+void ComputeDigest(const GraphStore& store, std::vector<std::uint64_t>* counts,
                    std::vector<std::uint32_t>* crcs) {
-  counts->assign(buckets, 0);
-  crcs->assign(buckets, 0);
+  counts->assign(kDigestBuckets, 0);
+  crcs->assign(kDigestBuckets, 0);
   for (std::size_t rel = 0; rel < store.num_relations(); ++rel) {
     const auto type = static_cast<EdgeType>(rel);
     store.topology(type).ForEachSource([&](VertexId src, const Samtree& tree) {
-      const std::size_t b = BucketOf(src, buckets);
+      const std::size_t b = BucketOf(src);
       tree.ForEachNeighbor([&](VertexId dst, Weight w) {
         (*counts)[b] += 1;
         (*crcs)[b] ^= EdgeCrc(type, src, dst, w);
@@ -98,13 +100,12 @@ void ComputeDigest(const GraphStore& store, std::size_t buckets,
 }
 
 /// Every edge of `store` whose source hashes into `bucket`.
-std::vector<Edge> BucketEdges(const GraphStore& store, std::size_t buckets,
-                              std::size_t bucket) {
+std::vector<Edge> BucketEdges(const GraphStore& store, std::size_t bucket) {
   std::vector<Edge> out;
   for (std::size_t rel = 0; rel < store.num_relations(); ++rel) {
     const auto type = static_cast<EdgeType>(rel);
     store.topology(type).ForEachSource([&](VertexId src, const Samtree& tree) {
-      if (BucketOf(src, buckets) != bucket) return;
+      if (BucketOf(src) != bucket) return;
       tree.ForEachNeighbor([&](VertexId dst, Weight w) {
         out.push_back(Edge{src, dst, w, type});
       });
@@ -114,28 +115,6 @@ std::vector<Edge> BucketEdges(const GraphStore& store, std::size_t buckets,
 }
 
 }  // namespace
-
-// --- AckWindow ------------------------------------------------------------
-
-void AckWindow::Ack(std::uint64_t seq) {
-  MutexLock lock(mu_);
-  if (seq <= acked_) return;
-  acked_ = seq;
-  // Notify while still holding mu_: a waiter between its predicate check
-  // and cv_.wait() would otherwise miss this wakeup forever (the
-  // schedcheck scenario pins exactly this).
-  cv_.notify_all();
-}
-
-void AckWindow::WaitForAcked(std::uint64_t seq) {
-  MutexLock lock(mu_);
-  while (acked_ < seq) cv_.wait(mu_);
-}
-
-std::uint64_t AckWindow::acked() const {
-  MutexLock lock(mu_);
-  return acked_;
-}
 
 // --- ReplicationManager ---------------------------------------------------
 
@@ -163,7 +142,6 @@ ReplicationManager::ReplicationManager(const ReplicationConfig& config,
     config_.num_replicas = FaultInjector::kMaxReplicas;
   }
   if (config_.max_entries_per_append == 0) config_.max_entries_per_append = 1;
-  if (config_.digest_buckets == 0) config_.digest_buckets = 1;
   reps_.reserve(primaries_.size());
   for (std::size_t s = 0; s < primaries_.size(); ++s) {
     auto sr = std::make_unique<ShardRep>();
@@ -370,8 +348,7 @@ void ReplicationManager::SendAck(std::size_t shard, std::size_t replica,
   counters_.ack_messages->Add();
   counters_.bytes_shipped->Add(bytes.size());
   // The reverse channel is just as lossy as the forward one. A dropped
-  // ack leaves acked_seq stale; the next round's cumulative ack covers it
-  // (and AckWindow waiters are woken then — the lost-ack wakeup path).
+  // ack leaves acked_seq stale; the next round's cumulative ack covers it.
   if (injector_->NextRepFault(shard, replica) ==
       FaultInjector::RepFault::kDrop) {
     counters_.dropped_messages->Add();
@@ -380,7 +357,6 @@ void ReplicationManager::SendAck(std::size_t shard, std::size_t replica,
   wire::RepAck decoded;
   if (wire::DecodeRepAck(bytes, &decoded) != wire::DecodeResult::kOk) return;
   rep.acked_seq = std::max(rep.acked_seq, decoded.applied_seq);
-  sr.acks.Ack(decoded.applied_seq);
 }
 
 bool ReplicationManager::BootstrapReplica(std::size_t shard,
@@ -594,7 +570,7 @@ ReplicationManager::AntiEntropyReport ReplicationManager::RunAntiEntropy(
   const std::uint64_t head = pri->wal_seq();
   std::vector<std::uint64_t> pri_counts;
   std::vector<std::uint32_t> pri_crcs;
-  ComputeDigest(pri->store(), config_.digest_buckets, &pri_counts, &pri_crcs);
+  ComputeDigest(pri->store(), &pri_counts, &pri_crcs);
   for (std::size_t r = 0; r < sr.replicas.size(); ++r) {
     Replica& rep = sr.replicas[r];
     if (rep.incompatible || injector_->IsReplicaCrashed(shard, r) ||
@@ -635,9 +611,9 @@ ReplicationManager::AntiEntropyReport ReplicationManager::RunAntiEntropy(
     report.digest_rounds += 1;
     std::vector<std::uint64_t> rep_counts;
     std::vector<std::uint32_t> rep_crcs;
-    ComputeDigest(*rep.store, config_.digest_buckets, &rep_counts, &rep_crcs);
+    ComputeDigest(*rep.store, &rep_counts, &rep_crcs);
     bool repaired = false;
-    for (std::size_t b = 0; b < config_.digest_buckets; ++b) {
+    for (std::size_t b = 0; b < kDigestBuckets; ++b) {
       if (decoded.bucket_edges[b] == rep_counts[b] &&
           decoded.bucket_crcs[b] == rep_crcs[b]) {
         continue;
@@ -649,11 +625,10 @@ ReplicationManager::AntiEntropyReport ReplicationManager::RunAntiEntropy(
       // bucket edges. Delete-then-insert handles both phantom and missing
       // edges.
       std::vector<EdgeUpdate> delta;
-      for (const Edge& e : BucketEdges(*rep.store, config_.digest_buckets, b)) {
+      for (const Edge& e : BucketEdges(*rep.store, b)) {
         delta.push_back({UpdateKind::kDelete, e});
       }
-      const std::vector<Edge> truth =
-          BucketEdges(pri->store(), config_.digest_buckets, b);
+      const std::vector<Edge> truth = BucketEdges(pri->store(), b);
       for (const Edge& e : truth) delta.push_back({UpdateKind::kInsert, e});
       rep.store->ApplyBatch(delta);
       report.repaired_edges += truth.size();
@@ -692,9 +667,8 @@ bool ReplicationManager::CorruptReplicaEdgeForTest(std::size_t shard,
   MutexLock lock(sr.mu);
   Replica& rep = sr.replicas[replica];
   std::vector<Edge> edges;
-  for (std::size_t b = 0; b < config_.digest_buckets; ++b) {
-    const std::vector<Edge> bucket =
-        BucketEdges(*rep.store, config_.digest_buckets, b);
+  for (std::size_t b = 0; b < kDigestBuckets; ++b) {
+    const std::vector<Edge> bucket = BucketEdges(*rep.store, b);
     edges.insert(edges.end(), bucket.begin(), bucket.end());
   }
   if (edges.empty()) return false;

@@ -12,7 +12,7 @@
 //     if it starts exactly at applied_seq + 1, so injected drops /
 //     duplicates / reorders degrade into deterministic retransmits —
 //     never divergence. Watermark invariant per replica:
-//     acked_seq <= applied_seq <= wal_seq (AckWindow blocks on it).
+//     acked_seq <= applied_seq <= wal_seq.
 //   * Snapshot bootstrap. A replica behind the WAL's truncation point is
 //     re-seeded with a CRC-verified io/checkpoint image (RepSnapshot),
 //     then log shipping resumes past covered_seq.
@@ -70,8 +70,6 @@ struct ReplicationConfig {
   /// Virtual microseconds a primary must stay crashed (as observed by
   /// AdvanceTime) before a replica is promoted.
   std::uint64_t suspicion_timeout_us = 20000;
-  /// Keyrange buckets per anti-entropy digest.
-  std::size_t digest_buckets = 16;
   /// Wire version stamped on outgoing messages. Tests set an unknown
   /// version to model an old-format peer; such replicas are excluded with
   /// kUnimplemented rather than fed garbage.
@@ -110,25 +108,6 @@ struct ReplicationConfig {
 
 struct ReplicationStats {
   PD2GL_REPLICATION_COUNTERS(PD2GL_STATS_FIELD)
-};
-
-/// The primary-side acked watermark for one shard: a monotonic sequence
-/// number raised by incoming acks, with a blocking wait. Kept minimal and
-/// public so the schedcheck lost-wakeup scenario can drive it directly:
-/// Ack() must notify while still holding the mutex — notifying after the
-/// unlock opens the classic missed-wakeup window this class exists to pin.
-class AckWindow {
- public:
-  /// Raise the watermark to max(current, seq) and wake waiters.
-  void Ack(std::uint64_t seq) EXCLUDES(mu_);
-  /// Block until the watermark reaches `seq`.
-  void WaitForAcked(std::uint64_t seq) EXCLUDES(mu_);
-  std::uint64_t acked() const EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_;
-  CondVar cv_;
-  std::uint64_t acked_ GUARDED_BY(mu_) = 0;
 };
 
 class ReplicationManager {
@@ -244,7 +223,6 @@ class ReplicationManager {
   /// byte-for-byte comparison hook for tests and `pd2gl verify-store`.
   Status SnapshotReplica(std::size_t shard, std::size_t replica,
                          std::string* out);
-  AckWindow& ack_window(std::size_t shard) { return reps_[shard]->acks; }
   const ReplicationConfig& config() const { return config_; }
   /// The registry the pd2gl_replication_* series live in (the caller's,
   /// or the private fallback).
@@ -266,7 +244,6 @@ class ReplicationManager {
   struct ShardRep {
     mutable Mutex mu;
     std::vector<Replica> replicas GUARDED_BY(mu);
-    AckWindow acks;
     /// Virtual time at which the primary was first seen crashed;
     /// kNotSuspected while it looks healthy.
     std::uint64_t suspected_since_us GUARDED_BY(mu) = kNotSuspected;

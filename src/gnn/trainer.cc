@@ -1,7 +1,5 @@
 #include "gnn/trainer.h"
 
-#include <limits>
-
 namespace platod2gl {
 
 Trainer::Trainer(const GraphStore* graph, GraphSageModel* model,
@@ -54,35 +52,6 @@ GraphSageModel::StepResult Trainer::TrainStep(
 
 GraphSageModel::StepResult Trainer::TrainStepSampled(Xoshiro256& rng) {
   return TrainStep(node_sampler_.SampleUniform(config_.batch_size, rng), rng);
-}
-
-std::vector<Trainer::EvalPoint> Trainer::Fit(
-    const std::vector<VertexId>& eval_seeds, const FitOptions& options,
-    Xoshiro256& rng) {
-  std::vector<EvalPoint> history;
-  double best_loss = std::numeric_limits<double>::infinity();
-  int since_best = 0;
-
-  // Honour the deprecated `epochs` alias when a caller still sets it.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const int total_steps = options.epochs >= 0 ? options.epochs : options.steps;
-#pragma GCC diagnostic pop
-
-  for (int step = 1; step <= total_steps; ++step) {
-    TrainStepSampled(rng);
-    if (step % options.eval_every != 0 && step != total_steps) continue;
-
-    const auto eval = Evaluate(eval_seeds, rng);
-    history.push_back(EvalPoint{step, eval.loss, eval.accuracy});
-    if (eval.loss < best_loss * (1.0 - options.min_delta) - 1e-12) {
-      best_loss = eval.loss;
-      since_best = 0;
-    } else if (options.patience > 0 && ++since_best >= options.patience) {
-      break;  // converged (or diverging): stop early
-    }
-  }
-  return history;
 }
 
 GraphSageModel::StepResult Trainer::Evaluate(

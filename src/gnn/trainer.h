@@ -39,37 +39,6 @@ class Trainer {
   /// One step on a uniformly node-sampled minibatch.
   GraphSageModel::StepResult TrainStepSampled(Xoshiro256& rng);
 
-  /// Full training loop: `steps` node-sampled minibatch steps,
-  /// evaluating on `eval_seeds` every `eval_every` steps. Stops early
-  /// when evaluation loss has not improved for `patience` evaluations
-  /// (patience 0 disables early stopping). Returns the evaluation
-  /// history in order.
-  struct FitOptions {
-    /// Total minibatch steps (one TrainStepSampled call each). This is
-    /// NOT dataset epochs: with batch_size seeds per step, one pass over
-    /// n training vertices takes roughly n / batch_size steps.
-    int steps = 100;
-    int eval_every = 10;
-    int patience = 0;
-    /// Relative loss improvement below which an evaluation does NOT
-    /// count as progress (evaluations are stochastic; without a margin,
-    /// noise keeps resetting the patience counter).
-    double min_delta = 0.0;
-    /// Deprecated alias for `steps` — the old name counted minibatch
-    /// steps all along, never epochs. When set (>= 0) it overrides
-    /// `steps` so `.epochs = N` designated initializers keep working.
-    [[deprecated("FitOptions::epochs always counted minibatch steps; "
-                 "use FitOptions::steps")]]
-    int epochs = -1;
-  };
-  struct EvalPoint {
-    int step = 0;
-    double loss = 0.0;
-    double accuracy = 0.0;
-  };
-  std::vector<EvalPoint> Fit(const std::vector<VertexId>& eval_seeds,
-                             const FitOptions& options, Xoshiro256& rng);
-
   GraphSageModel::StepResult Evaluate(const std::vector<VertexId>& seeds,
                                       Xoshiro256& rng) const;
 

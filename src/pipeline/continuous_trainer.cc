@@ -1,21 +1,15 @@
 #include "pipeline/continuous_trainer.h"
 
-#include <algorithm>
-
 namespace platod2gl {
 
 ContinuousTrainer::ContinuousTrainer(UpdateIngestor* ingestor,
                                      MicroBatcher* batcher,
                                      EpochCoordinator* epochs,
-                                     Trainer* trainer,
-                                     ContinuousTrainerConfig config)
+                                     Trainer* trainer)
     : ingestor_(ingestor),
       batcher_(batcher),
       epochs_(epochs),
-      trainer_(trainer),
-      config_(config) {
-  config_.pumps_per_step = std::max<std::size_t>(1, config_.pumps_per_step);
-}
+      trainer_(trainer) {}
 
 std::uint64_t ContinuousTrainer::Staleness() const {
   const std::uint64_t ingested = ingestor_->watermark();
@@ -24,17 +18,14 @@ std::uint64_t ContinuousTrainer::Staleness() const {
 }
 
 ContinuousTrainer::StepReport ContinuousTrainer::Step(Xoshiro256& rng) {
-  std::size_t applied = 0;
-  for (std::size_t p = 0; p < config_.pumps_per_step; ++p) {
-    applied += batcher_->PumpOnce();
-  }
+  const std::size_t applied = batcher_->PumpOnce();
 
   StepReport report;
   report.step = ++steps_done_;
   report.updates_applied = applied;
   {
     const EpochCoordinator::ReadGuard pin = epochs_->PinRead();
-    if (applied > 0 && config_.refresh_node_sampler) {
+    if (applied > 0) {
       // Under the pin: the snapshot the refreshed sampler indexes is the
       // one this step trains on.
       trainer_->RefreshNodeSampler();

@@ -13,8 +13,8 @@
 // ingest watermark (newest event accepted from producers) minus the
 // applied watermark (newest event the pinned snapshot contains). A
 // healthy pipeline keeps this near zero; growing staleness means
-// ingestion is outrunning the pump cadence (raise pumps_per_step or
-// max_batch, or shed with kDropOldest).
+// ingestion is outrunning the pump cadence (raise max_batch, or shed with
+// kDropOldest).
 //
 // Run PumpOnce/Step from one driver thread; producers and extra pinned
 // readers (evaluation threads) may run concurrently.
@@ -32,15 +32,6 @@
 
 namespace platod2gl {
 
-struct ContinuousTrainerConfig {
-  /// Micro-batcher pumps attempted before each training step (the time
-  /// trigger of the batcher: ingest is drained at least this often).
-  std::size_t pumps_per_step = 1;
-  /// Re-snapshot the trainer's node sampler after any pump that applied
-  /// updates, so newly arrived vertices become sampleable seeds.
-  bool refresh_node_sampler = true;
-};
-
 /// One-stop observable snapshot of the whole pipeline.
 struct PipelineStats {
   IngestorStats ingest;
@@ -53,8 +44,7 @@ class ContinuousTrainer {
  public:
   /// All collaborators are borrowed and must outlive the driver.
   ContinuousTrainer(UpdateIngestor* ingestor, MicroBatcher* batcher,
-                    EpochCoordinator* epochs, Trainer* trainer,
-                    ContinuousTrainerConfig config = {});
+                    EpochCoordinator* epochs, Trainer* trainer);
 
   struct StepReport {
     std::size_t step = 0;          ///< 1-based step index
@@ -65,7 +55,9 @@ class ContinuousTrainer {
     std::size_t updates_applied = 0;  ///< raw updates pumped before it
   };
 
-  /// Pump, then train one node-sampled minibatch on the pinned snapshot.
+  /// Pump once, then train one node-sampled minibatch on the pinned
+  /// snapshot. A pump that applied updates re-snapshots the trainer's node
+  /// sampler first, so newly arrived vertices become sampleable seeds.
   StepReport Step(Xoshiro256& rng);
 
   /// Run `steps` pump+train iterations; returns the per-step reports.
@@ -85,7 +77,6 @@ class ContinuousTrainer {
   MicroBatcher* batcher_;
   EpochCoordinator* epochs_;
   Trainer* trainer_;
-  ContinuousTrainerConfig config_;
   std::size_t steps_done_ = 0;
 };
 

@@ -139,7 +139,7 @@ std::size_t MicroBatcher::PumpOnce(bool force) {
   // exactly what the WAL accepted, keeping "live store == sequential
   // replay of the log" an invariant even on misbehaving input.
   std::size_t first_ok = 0;
-  if (log_ != nullptr && !log_->empty()) {
+  if (!log_->empty()) {
     const std::uint64_t tail = log_->MaxTimestamp();
     while (first_ok < scratch_.size() &&
            scratch_[first_ok].timestamp < tail) {
@@ -148,10 +148,8 @@ std::size_t MicroBatcher::PumpOnce(bool force) {
   }
   const std::span<const TimedUpdate> accepted(scratch_.data() + first_ok,
                                               scratch_.size() - first_ok);
-  if (log_ != nullptr) {
-    log_->AppendBatch(accepted);
-    counters_.log_rejected->Add(first_ok);
-  }
+  log_->AppendBatch(accepted);
+  counters_.log_rejected->Add(first_ok);
   if (accepted.empty()) return take;
 
   // Coalesce per-edge churn.

@@ -62,10 +62,10 @@ struct MicroBatcherStats {
 
 class MicroBatcher {
  public:
-  /// Everything is borrowed and must outlive the batcher. The log may be
-  /// null (ephemeral pipeline with no durability/replay requirement).
-  /// `metrics` hosts the pd2gl_micro_batcher_* series (typically the same
-  /// registry the ingestor registered into); null = private registry.
+  /// Everything is borrowed and must outlive the batcher; the log must
+  /// not be null (every applied update is logged first). `metrics` hosts
+  /// the pd2gl_micro_batcher_* series (typically the same registry the
+  /// ingestor registered into); null = private registry.
   MicroBatcher(GraphStore* graph, ThreadPool* pool, UpdateIngestor* ingestor,
                EpochCoordinator* epochs, TemporalEdgeLog* log,
                MicroBatcherConfig config = {},

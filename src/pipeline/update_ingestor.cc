@@ -1,6 +1,7 @@
 #include "pipeline/update_ingestor.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace platod2gl {
 
@@ -51,12 +52,16 @@ void UpdateIngestor::NoteAccepted(std::uint64_t timestamp) {
 }
 
 Status UpdateIngestor::Offer(const TimedUpdate& u) {
-  if (config_.num_relations > 0 &&
-      u.update.edge.type >= config_.num_relations) {
+  // num_relations == 0 leaves the type unchecked: every EdgeType passes.
+  const std::size_t relations = config_.num_relations > 0
+                                    ? config_.num_relations
+                                    : std::numeric_limits<std::size_t>::max();
+  if (!IsValidUpdate(u.update, relations)) {
     counters_.invalid->Add(1);
-    return Status::InvalidArgument("edge type " +
-                                   std::to_string(u.update.edge.type) +
-                                   " out of range");
+    return Status::InvalidArgument("update " +
+                                   std::to_string(u.update.edge.src) + "->" +
+                                   std::to_string(u.update.edge.dst) +
+                                   " refused: bad type, vertex or weight");
   }
   if (closed()) {
     counters_.closed_rejects->Add(1);

@@ -53,7 +53,8 @@ struct IngestorConfig {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// When > 0, offers whose edge type is >= num_relations are rejected
   /// with kInvalidArgument at the door instead of faulting deep inside
-  /// the store's relation routing. 0 disables the check.
+  /// the store's relation routing. 0 disables the type check; the vertex
+  /// and weight checks of IsValidUpdate always run.
   std::size_t num_relations = 0;
 };
 
@@ -63,7 +64,7 @@ struct IngestorConfig {
   X(accepted)       /* offers that entered a queue */                          \
   X(rejected)       /* kReject policy refusals (queue full) */                 \
   X(dropped)        /* kDropOldest evictions */                                \
-  X(invalid)        /* bad edge type, refused at the door */                   \
+  X(invalid)        /* failed IsValidUpdate, refused at the door */            \
   X(closed_rejects) /* offers after Close() */
 
 /// The counters plus a point-in-time queue snapshot.
@@ -93,7 +94,7 @@ class UpdateIngestor {
 
   /// Offer one timestamped update. Thread-safe, called by any number of
   /// producers. Returns Ok when queued; kResourceExhausted (kReject
-  /// policy, queue full), kInvalidArgument (edge type out of range) or
+  /// policy, queue full), kInvalidArgument (fails IsValidUpdate) or
   /// kUnavailable (after Close()) otherwise. Under kBlock the call waits
   /// until space frees up or the ingestor closes.
   Status Offer(const TimedUpdate& u);

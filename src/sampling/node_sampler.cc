@@ -4,13 +4,9 @@ namespace platod2gl {
 
 void NodeSampler::Refresh() {
   vertices_.clear();
-  std::vector<Weight> degrees;
   store_->ForEachSource([&](VertexId v, const Samtree& tree) {
-    if (tree.empty()) return;
-    vertices_.push_back(v);
-    degrees.push_back(static_cast<Weight>(tree.size()));
+    if (!tree.empty()) vertices_.push_back(v);
   });
-  degree_cstable_ = CSTable(degrees);
 }
 
 std::vector<VertexId> NodeSampler::SampleUniform(std::size_t k,
@@ -20,17 +16,6 @@ std::vector<VertexId> NodeSampler::SampleUniform(std::size_t k,
   out.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     out.push_back(vertices_[rng.NextUint64(vertices_.size())]);
-  }
-  return out;
-}
-
-std::vector<VertexId> NodeSampler::SampleByDegree(std::size_t k,
-                                                  Xoshiro256& rng) const {
-  std::vector<VertexId> out;
-  if (vertices_.empty()) return out;
-  out.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    out.push_back(vertices_[degree_cstable_.Sample(rng)]);
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // NodeSampler: the "node sampling" operator (paper Section III) — draw a
-// set of vertices from the whole graph, uniformly or proportionally to
-// out-degree (the usual negative-sampling distributions in GNN training).
+// set of vertices from the whole graph uniformly at random (the seeds of a
+// GNN training minibatch).
 //
 // The sampler snapshots the source-vertex population once (O(V)); the
 // snapshot is refreshed explicitly so minibatch loops pay O(1) per draw.
@@ -11,7 +11,6 @@
 
 #include "common/random.h"
 #include "common/types.h"
-#include "index/cstable.h"
 #include "storage/topology_store.h"
 
 namespace platod2gl {
@@ -30,13 +29,9 @@ class NodeSampler {
   /// k vertices uniformly at random (with replacement).
   std::vector<VertexId> SampleUniform(std::size_t k, Xoshiro256& rng) const;
 
-  /// k vertices proportionally to out-degree (with replacement).
-  std::vector<VertexId> SampleByDegree(std::size_t k, Xoshiro256& rng) const;
-
  private:
   const TopologyStore* store_;
   std::vector<VertexId> vertices_;
-  CSTable degree_cstable_;
 };
 
 }  // namespace platod2gl

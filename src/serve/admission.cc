@@ -22,12 +22,6 @@ AdmissionController::AdmissionController(AdmissionConfig config,
 #undef PD2GL_REGISTER
 }
 
-bool AdmissionController::HasRoom(std::uint32_t tenant) const {
-  if (in_flight_ >= config_.max_in_flight) return false;
-  return tenant >= tenant_in_flight_.size() ||
-         tenant_in_flight_[tenant] < config_.tenant_quota;
-}
-
 void AdmissionController::AdmitLocked(std::uint32_t tenant) {
   ++in_flight_;
   if (tenant >= tenant_in_flight_.size()) {
@@ -62,28 +56,6 @@ AdmissionController::Verdict AdmissionController::TryAdmit(
   return Verdict::kAdmitted;
 }
 
-AdmissionController::Verdict AdmissionController::Admit(std::uint32_t tenant) {
-  if (closed()) {
-    counters_.closed_rejects->Add(1);
-    return Verdict::kClosed;
-  }
-  MutexLock lock(mu_);
-  bool waited = false;
-  while (!HasRoom(tenant) && !closed()) {
-    if (!waited) {
-      waited = true;
-      counters_.blocked_waits->Add(1);
-    }
-    space_cv_.wait(mu_);
-  }
-  if (closed()) {
-    counters_.closed_rejects->Add(1);
-    return Verdict::kClosed;
-  }
-  AdmitLocked(tenant);
-  return Verdict::kAdmitted;
-}
-
 void AdmissionController::Release(std::uint32_t tenant) {
   MutexLock lock(mu_);
   if (in_flight_ > 0) --in_flight_;
@@ -91,22 +63,10 @@ void AdmissionController::Release(std::uint32_t tenant) {
     --tenant_in_flight_[tenant];
   }
   in_flight_snapshot_.store(in_flight_, std::memory_order_release);
-  // The notify must happen under the lock: a kBlock submitter evaluates
-  // HasRoom() and calls wait() inside its critical section, so an
-  // unlocked notify can land in the gap between its check and its wait
-  // and be lost — the submitter then sleeps forever because nothing else
-  // signals space_cv (same bug class the schedule checker found in
-  // UpdateIngestor::Close(); pinned by AdmissionWindowScenario in
-  // tests/test_schedcheck_scenarios.cc).
-  space_cv_.notify_all();
 }
 
 void AdmissionController::Close() {
   closed_.store(true, std::memory_order_release);
-  // Wake every blocked submitter so it can observe the close; under the
-  // lock for the same lost-wakeup reason as Release().
-  MutexLock lock(mu_);
-  space_cv_.notify_all();
 }
 
 AdmissionStats AdmissionController::Stats() const {

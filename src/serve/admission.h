@@ -12,20 +12,18 @@
 //    one hot tenant cannot starve the rest of the window.
 //
 // What a submitter experiences at a full window is the policy matrix the
-// GraphServer drives (serve/server.h): kBlock waits here on a condvar
-// until Release()/Close(); kReject fails fast via TryAdmit(); kShedOldest
-// lets the server evict the oldest queued request and retry the probe.
+// GraphServer drives (serve/server.h): kReject fails fast via TryAdmit();
+// kShedOldest lets the server evict the oldest queued request and retry
+// the probe.
 // Every outcome is a counter, and shed decisions are made by the
 // single-threaded server pump from arrival order alone, so admission
 // outcomes are a pure function of (seed, arrival order) — pinned in
 // tests/test_serve.cc.
 //
-// Synchronisation uses the instrumented Mutex/CondVar/sched::Atomic so
-// the deterministic schedule checker can interleave submitters against
-// Release()/Close() (tests/test_schedcheck_scenarios.cc: the notify in
-// both MUST happen under the lock, or a kBlock submitter's
-// check-then-wait window loses the wakeup — the same bug class the
-// checker found in UpdateIngestor::Close()).
+// Synchronisation uses the instrumented Mutex/sched::Atomic so the
+// deterministic schedule checker can interleave submitters against
+// Release()/Close() (tests/test_schedcheck_scenarios.cc: the books
+// balance and a close is sticky).
 #pragma once
 
 #include <cstddef>
@@ -42,7 +40,6 @@ namespace platod2gl::serve {
 
 /// What a submitter experiences when the window (or its quota) is full.
 enum class AdmissionPolicy : std::uint8_t {
-  kBlock,      ///< wait for a Release (lossless, may stall the submitter)
   kReject,     ///< fail fast (caller sheds/retries)
   kShedOldest  ///< evict the oldest queued request, admit the new one
 };
@@ -59,8 +56,7 @@ struct AdmissionConfig {
   X(admitted)                                                                  \
   X(window_rejects) /* probes refused: window full */                          \
   X(quota_rejects)  /* probes refused: tenant over quota */                    \
-  X(closed_rejects) /* probes after Close() */                                 \
-  X(blocked_waits)  /* kBlock submitters that had to wait */
+  X(closed_rejects) /* probes after Close() */
 
 /// The counters plus a point-in-time window snapshot.
 struct AdmissionStats {
@@ -92,15 +88,11 @@ class AdmissionController {
   /// counted outcome there).
   Verdict TryAdmit(std::uint32_t tenant, bool count_reject = true);
 
-  /// Blocking admit (the kBlock policy): waits on the window/quota until
-  /// admitted or closed. Never returns kWindowFull/kQuotaFull.
-  Verdict Admit(std::uint32_t tenant);
-
   /// Return one admitted slot (request completed, shed, or failed).
   void Release(std::uint32_t tenant);
 
-  /// Stop admitting: every subsequent (and currently blocked) Admit
-  /// returns kClosed. Released slots still drain normally.
+  /// Stop admitting: every subsequent TryAdmit returns kClosed. Released
+  /// slots still drain normally.
   void Close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
@@ -113,7 +105,6 @@ class AdmissionController {
   const AdmissionConfig& config() const { return config_; }
 
  private:
-  bool HasRoom(std::uint32_t tenant) const REQUIRES(mu_);
   void AdmitLocked(std::uint32_t tenant) REQUIRES(mu_);
 
   AdmissionConfig config_;
@@ -124,7 +115,6 @@ class AdmissionController {
     PD2GL_ADMISSION_COUNTERS(PD2GL_COUNTER_HANDLE)
   } counters_;
   mutable Mutex mu_;
-  CondVar space_cv_;  // kBlock submitters wait here for Release or Close
   std::size_t in_flight_ GUARDED_BY(mu_) = 0;
   std::vector<std::size_t> tenant_in_flight_ GUARDED_BY(mu_);
 

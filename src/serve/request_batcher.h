@@ -4,9 +4,9 @@
 // per-RPC cost across concurrent requests: ten requests each wanting a
 // fanout-10 descent cost ten RPCs per shard served one by one, but one
 // RPC per shard when coalesced into a single batched descent
-// (GraphCluster::SampleMany -> Samtree::Sample*Batch, PR 5's vectorized
-// hot path). The batcher holds admitted requests in arrival order and
-// releases them as a batch when either
+// (GraphCluster::SampleMany -> one Samtree::SampleWeighted(k, ...) draw
+// per seed on the owning shard). The batcher holds admitted requests in
+// arrival order and releases them as a batch when either
 //
 //  * the batch is full (`max_batch` requests), or
 //  * the OLDEST waiting request has waited `window_us` of virtual time —

@@ -127,13 +127,6 @@ Status GraphServer::Submit(QueryRequest req, std::uint64_t now_us) {
 
   // Admission: the policy matrix decides what a full window means.
   switch (config_.admission.policy) {
-    case AdmissionPolicy::kBlock: {
-      const AdmissionController::Verdict v = admission_.Admit(req.tenant);
-      if (v != AdmissionController::Verdict::kAdmitted) {
-        return Status::Unavailable("server closed");
-      }
-      break;
-    }
     case AdmissionPolicy::kReject: {
       const AdmissionController::Verdict v = admission_.TryAdmit(req.tenant);
       if (v == AdmissionController::Verdict::kClosed) {

@@ -120,8 +120,7 @@ class GraphServer {
   /// Submit one request at virtual time `now_us`: validate, admit, queue.
   /// Non-OK: kInvalidArgument (tenant/plan), kResourceExhausted (reject
   /// policy, window/quota full and nothing sheddable), kUnavailable
-  /// (closed). Under the kBlock policy this waits until a slot frees (a
-  /// concurrent Pump retires work) or the server closes.
+  /// (closed).
   Status Submit(QueryRequest req, std::uint64_t now_us);
 
   /// Advance the virtual clock: retire virtually-complete batches, then
@@ -134,7 +133,7 @@ class GraphServer {
   /// Returns the number of requests dispatched.
   std::size_t Drain(std::uint64_t now_us);
 
-  /// Stop admitting (admission + batcher close; blocked submitters wake).
+  /// Stop admitting (admission + batcher close).
   /// Queued work remains drainable: Close() then Drain() is clean
   /// shutdown, mirroring the ingestor.
   void Close();

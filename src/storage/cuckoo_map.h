@@ -95,7 +95,7 @@ class CuckooMap {
   }
 
   /// Pointer to the value, or nullptr. NOT synchronised with concurrent
-  /// inserts/erases — safe during read-only phases, or when an external
+  /// inserts — safe during read-only phases, or when an external
   /// partitioning scheme guarantees no rehash races (the value object
   /// itself is heap-pinned, so only *map growth during lookup* races).
   /// That contract is exactly why this bypasses the analysis.
@@ -108,23 +108,6 @@ class CuckooMap {
   }
 
   bool Contains(VertexId key) const { return FindUnsafe(key) != nullptr; }
-
-  /// Remove a key. Returns whether it was present. Thread-safe.
-  bool Erase(VertexId key) {
-    Shard& shard = ShardFor(key);
-    SpinlockGuard lock(shard.mu);
-    for (std::size_t h = 0; h < 2; ++h) {
-      Bucket& b = shard.buckets[BucketIndex(shard, key, h)];
-      for (auto& slot : b.slots) {
-        if (slot.value && slot.key == key) {
-          slot.value.reset();
-          BumpSizeLocked(shard, -1);
-          return true;
-        }
-      }
-    }
-    return false;
-  }
 
   /// Number of stored keys. The per-shard counters are atomics, so this
   /// is race-free against concurrent writers (TSan-clean), but the sum is
@@ -198,27 +181,18 @@ class CuckooMap {
     Xoshiro256 rng GUARDED_BY(mu){0xC0C0C0C0DEADBEEFULL};
   };
 
-  // Size-counter bump with the shard lock held. Routed through the racy
+  // Count one new key with the shard lock held. Routed through the racy
   // plain counter when the reintroduce-race test toggle is on.
-  static void BumpSizeLocked(Shard& shard, std::ptrdiff_t delta)
-      REQUIRES(shard.mu) {
+  static void BumpSizeLocked(Shard& shard) REQUIRES(shard.mu) {
 #if defined(PD2GL_SCHEDCHECK)
     if (sched::CuckooShardSizeRace()) {
-      shard.racy_size.store(shard.racy_size.load() +
-                            static_cast<std::size_t>(delta));
+      shard.racy_size.store(shard.racy_size.load() + 1);
       return;
     }
 #endif
-    if (delta >= 0) {
-      // order: counter only; Size() sums a snapshot and never infers
-      // bucket state from it.
-      shard.size.fetch_add(static_cast<std::size_t>(delta),
-                           std::memory_order_relaxed);
-    } else {
-      // order: counter only, as above.
-      shard.size.fetch_sub(static_cast<std::size_t>(-delta),
-                           std::memory_order_relaxed);
-    }
+    // order: counter only; Size() sums a snapshot and never infers
+    // bucket state from it.
+    shard.size.fetch_add(1, std::memory_order_relaxed);
   }
 
   static std::size_t RoundPow2(std::size_t n) {
@@ -257,7 +231,7 @@ class CuckooMap {
     auto value = std::make_unique<V>();
     V* raw = value.get();
     InsertLocked(shard, key, std::move(value));
-    BumpSizeLocked(shard, +1);
+    BumpSizeLocked(shard);
     return raw;
   }
 

@@ -198,11 +198,6 @@ std::size_t TopologyStore::Degree(VertexId src) const {
   return tree ? tree->size() : 0;
 }
 
-Weight TopologyStore::VertexWeight(VertexId src) const {
-  const Samtree* tree = trees_.FindUnsafe(src);
-  return tree ? tree->TotalWeight() : 0.0;
-}
-
 bool TopologyStore::SampleNeighbors(VertexId src, std::size_t k,
                                     bool weighted, Xoshiro256& rng,
                                     std::vector<VertexId>* out) const {
@@ -214,35 +209,6 @@ bool TopologyStore::SampleNeighbors(VertexId src, std::size_t k,
     tree->SampleUniform(k, rng, out);
   }
   return true;
-}
-
-std::vector<VertexId> TopologyStore::SampleNeighborsDistinct(
-    VertexId src, std::size_t k, Xoshiro256& rng) {
-  std::vector<VertexId> out;
-  trees_.WithExisting(src, [&](Samtree& tree) {
-    out = tree.SampleWeightedDistinct(k, rng);
-  });
-  return out;
-}
-
-std::size_t TopologyStore::RemoveSource(VertexId src) {
-  std::size_t removed = 0;
-  trees_.WithExisting(src, [&](Samtree& tree) {
-    removed = tree.size();
-    tree = Samtree(config_);
-  });
-  if (removed > 0) {
-    trees_.Erase(src);
-    // order: stat tally, read for reporting only
-    num_edges_.fetch_sub(removed, std::memory_order_relaxed);
-  }
-  return removed;
-}
-
-std::size_t TopologyStore::CountNeighborsInRange(VertexId src, VertexId lo,
-                                                 VertexId hi) const {
-  const Samtree* tree = trees_.FindUnsafe(src);
-  return tree ? tree->CountInRange(lo, hi) : 0;
 }
 
 std::vector<std::pair<VertexId, Weight>> TopologyStore::Neighbors(

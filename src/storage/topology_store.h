@@ -1,8 +1,10 @@
 // TopologyStore: the dynamic graph-topology layer of PlatoD2GL for one
 // edge relation (paper Section IV-B).
 //
-// A concurrent cuckoo hashmap maps each source vertex to its samtree;
-// vertices without out-edges occupy no storage at all (Example 1). The
+// A concurrent cuckoo hashmap maps each source vertex to its samtree; a
+// vertex that never had an out-edge occupies no storage at all (Example
+// 1), and a source keeps its emptied samtree after its last edge is
+// deleted. The
 // per-update mutation entry points are thread-safe per source vertex: two
 // threads updating different sources never block each other beyond the
 // map shard spinlock. ApplyBatch is the one entry point of every store
@@ -81,31 +83,16 @@ class TopologyStore {
   /// Out-degree of src (0 when src stores nothing).
   std::size_t Degree(VertexId src) const;
 
-  /// Sum of out-edge weights of src.
-  Weight VertexWeight(VertexId src) const;
-
   /// Draw k out-neighbours of src with replacement; returns false (and
   /// leaves *out* untouched) when src has no out-edges.
   bool SampleNeighbors(VertexId src, std::size_t k, bool weighted,
                        Xoshiro256& rng, std::vector<VertexId>* out) const;
 
-  /// Draw up to k *distinct* out-neighbours of src, weighted, without
-  /// replacement (see Samtree::SampleWeightedDistinct). Takes the shard
-  /// lock for the duration since the tree is temporarily mutated.
-  std::vector<VertexId> SampleNeighborsDistinct(VertexId src, std::size_t k,
-                                                Xoshiro256& rng);
-
-  /// Remove src and all of its out-edges; returns the number removed.
-  std::size_t RemoveSource(VertexId src);
-
-  /// Number of out-neighbours of src with ID in [lo, hi].
-  std::size_t CountNeighborsInRange(VertexId src, VertexId lo,
-                                    VertexId hi) const;
-
   /// All (neighbour, weight) pairs of src.
   std::vector<std::pair<VertexId, Weight>> Neighbors(VertexId src) const;
 
-  /// Number of source vertices with at least one out-edge.
+  /// Number of source vertices that ever had an out-edge: a source whose
+  /// last edge was deleted keeps its empty samtree and is still counted.
   std::size_t NumSources() const { return trees_.Size(); }
 
   /// Number of live edges.

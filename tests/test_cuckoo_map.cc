@@ -42,15 +42,6 @@ TEST(CuckooMapTest, WithExistingSkipsAbsent) {
   EXPECT_EQ(*map.FindUnsafe(9), 4);
 }
 
-TEST(CuckooMapTest, Erase) {
-  CuckooMap<int> map;
-  map.With(7, [](int& v) { v = 1; });
-  EXPECT_TRUE(map.Erase(7));
-  EXPECT_FALSE(map.Erase(7));
-  EXPECT_EQ(map.FindUnsafe(7), nullptr);
-  EXPECT_EQ(map.Size(), 0u);
-}
-
 TEST(CuckooMapTest, GrowsUnderLoad) {
   // Tiny initial table: forces eviction walks and doubling.
   CuckooMap<std::uint64_t> map(1, 2);

@@ -2,7 +2,10 @@
 // facade (DESIGN.md substitution for the paper's 74-server deployment).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dist/cluster.h"
@@ -141,7 +144,104 @@ TEST(ClusterTest, LoadImbalanceNearOneOnUniformKeys) {
     batch.push_back({UpdateKind::kInsert, Edge{s, s + 1, 1.0, 0}});
   }
   cluster.ApplyBatch(batch);
-  EXPECT_LT(cluster.LoadImbalance(), 1.2);
+  std::vector<std::size_t> edges;
+  for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+    edges.push_back(cluster.shard(s).store().NumEdges());
+  }
+  const auto [lo, hi] = std::minmax_element(edges.begin(), edges.end());
+  ASSERT_GT(*lo, 0u);
+  EXPECT_LT(static_cast<double>(*hi) / static_cast<double>(*lo), 1.2);
+}
+
+// ---------------------------------------------------------------------------
+// Write-path validation: the cluster refuses an update its stores cannot
+// hold before any WAL logs it, and applies the rest of the batch.
+// ---------------------------------------------------------------------------
+
+constexpr Weight kNaN = std::numeric_limits<Weight>::quiet_NaN();
+constexpr Weight kInf = std::numeric_limits<Weight>::infinity();
+
+std::uint64_t LoggedUpdates(const GraphCluster& cluster) {
+  std::uint64_t logged = 0;
+  for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+    logged += cluster.shard(s).wal_seq();
+  }
+  return logged;
+}
+
+TEST(ClusterWriteValidationTest, OutOfRangeTypeAloneIsNeverLogged) {
+  GraphCluster cluster(ClusterConfig{.num_shards = 4});  // one relation
+  const Edge bad{1, 2, 1.0, /*type=*/3};
+  const std::size_t s = cluster.partitioner().ShardOf(bad.src);
+  EXPECT_EQ(cluster.Apply({UpdateKind::kInsert, bad}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoggedUpdates(cluster), 0u);
+
+  // The hinted-handoff path of a crashed shard refuses it too: recovery
+  // replays the WAL, and one logged bad entry would fail every replay.
+  cluster.CrashShard(s);
+  EXPECT_EQ(cluster.Apply({UpdateKind::kInsert, bad}).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(cluster.Apply({UpdateKind::kInsert, Edge{1, 3, 1.0, 0}}).ok());
+  EXPECT_EQ(cluster.shard(s).wal_seq(), 1u);
+  ASSERT_TRUE(cluster.RecoverShard(s).ok());
+  EXPECT_EQ(cluster.NumEdges(), 1u);
+  EXPECT_TRUE(cluster.shard(s).store().HasEdge(1, 3));
+}
+
+TEST(ClusterWriteValidationTest, OutOfRangeTypeInAMultiShardBatchSkipsOnlyIt) {
+  GraphCluster cluster(ClusterConfig{.num_shards = 4});
+  std::vector<EdgeUpdate> batch;
+  std::set<std::size_t> touched;
+  for (VertexId v = 1; v <= 64; ++v) {
+    batch.push_back({UpdateKind::kInsert, Edge{v, v + 1, 1.0, 0}});
+    touched.insert(cluster.partitioner().ShardOf(v));
+  }
+  ASSERT_GT(touched.size(), 1u);
+  batch.insert(batch.begin() + 32,
+               EdgeUpdate{UpdateKind::kInsert, Edge{7, 9, 1.0, /*type=*/3}});
+  EXPECT_EQ(cluster.ApplyBatch(batch).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cluster.NumEdges(), 64u);
+  EXPECT_EQ(LoggedUpdates(cluster), 64u);
+  EXPECT_EQ(cluster.Degree(7), 1u) << "7->8 only; 7->9 was refused";
+}
+
+TEST(ClusterWriteValidationTest, NonFiniteAndNegativeWeightsAreRefused) {
+  GraphCluster cluster(ClusterConfig{.num_shards = 4});
+  ASSERT_TRUE(cluster.Apply({UpdateKind::kInsert, Edge{1, 2, 1.0, 0}}).ok());
+  for (const Weight w : {kNaN, kInf, -5.0}) {
+    EXPECT_EQ(cluster.Apply({UpdateKind::kInsert, Edge{1, 3, w, 0}}).code(),
+              StatusCode::kInvalidArgument)
+        << w;
+    EXPECT_EQ(
+        cluster.Apply({UpdateKind::kInPlaceUpdate, Edge{1, 2, w, 0}}).code(),
+        StatusCode::kInvalidArgument)
+        << w;
+  }
+  EXPECT_EQ(LoggedUpdates(cluster), 1u);
+  EXPECT_EQ(cluster.NumEdges(), 1u);
+  for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+    std::string err;
+    EXPECT_TRUE(cluster.shard(s).store().topology(0).CheckAllInvariants(&err))
+        << "shard " << s << ": " << err;
+  }
+  // A delete never reads its weight.
+  EXPECT_TRUE(cluster.Apply({UpdateKind::kDelete, Edge{1, 2, kNaN, 0}}).ok());
+  EXPECT_EQ(cluster.NumEdges(), 0u);
+}
+
+TEST(ClusterWriteValidationTest, InvalidVertexEndpointsAreRefused) {
+  GraphCluster cluster(ClusterConfig{.num_shards = 4});
+  EXPECT_EQ(
+      cluster.Apply({UpdateKind::kInsert, Edge{kInvalidVertex, 2, 1.0, 0}})
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      cluster.Apply({UpdateKind::kInsert, Edge{1, kInvalidVertex, 1.0, 0}})
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoggedUpdates(cluster), 0u);
+  EXPECT_EQ(cluster.NumEdges(), 0u);
 }
 
 }  // namespace

@@ -29,25 +29,6 @@ TEST(EdgeCaseTest, GraphStoreRelationCountClampedToOne) {
   EXPECT_EQ(g.num_relations(), 1u);
 }
 
-TEST(EdgeCaseTest, CuckooMapEraseReinsertCycles) {
-  CuckooMap<int> map(2, 2);
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    for (VertexId k = 1; k <= 64; ++k) {
-      map.With(k, [cycle](int& v) { v = cycle; });
-    }
-    for (VertexId k = 1; k <= 64; k += 2) {
-      ASSERT_TRUE(map.Erase(k));
-    }
-    EXPECT_EQ(map.Size(), 32u);
-    for (VertexId k = 2; k <= 64; k += 2) {
-      ASSERT_NE(map.FindUnsafe(k), nullptr);
-      ASSERT_EQ(*map.FindUnsafe(k), cycle);
-    }
-    for (VertexId k = 1; k <= 64; k += 2) map.With(k, [](int&) {});
-  }
-  EXPECT_EQ(map.Size(), 64u);
-}
-
 TEST(EdgeCaseTest, CuckooMapSequentialKeysDense) {
   // Sequential IDs are the common production pattern and the classic way
   // to stress a weak hash.

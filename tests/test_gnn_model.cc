@@ -230,40 +230,5 @@ TEST(GcnModelTest, LearnsCommunityTaskLikeSage) {
   EXPECT_GT(eval.accuracy, 0.85);
 }
 
-
-TEST(TrainerTest, FitRecordsHistoryAndImproves) {
-  auto cg_ptr = MakeCommunityGraph(4, 80, 8, 55);
-  CommunityGraph& cg = *cg_ptr;
-  GraphSageConfig cfg{.in_dim = 8, .hidden_dim = 16, .num_classes = 4};
-  GraphSageModel model(cfg, 2);
-  Trainer trainer(&cg.graph, &model,
-                  TrainerConfig{.batch_size = 64, .learning_rate = 0.01f});
-  Xoshiro256 rng(3);
-  const auto history = trainer.Fit(
-      cg.test_seeds, {.steps = 50, .eval_every = 10}, rng);
-  ASSERT_EQ(history.size(), 5u);
-  EXPECT_EQ(history.front().step, 10);
-  EXPECT_EQ(history.back().step, 50);
-  EXPECT_LT(history.back().loss, history.front().loss);
-  EXPECT_GT(history.back().accuracy, history.front().accuracy);
-}
-
-TEST(TrainerTest, FitEarlyStopsOnPlateau) {
-  // patience 1 on a trivially-converged task: must stop well before the
-  // epoch budget once the loss stops improving.
-  auto cg_ptr = MakeCommunityGraph(2, 40, 8, 66);
-  CommunityGraph& cg = *cg_ptr;
-  GraphSageConfig cfg{.in_dim = 8, .hidden_dim = 8, .num_classes = 2};
-  GraphSageModel model(cfg, 4);
-  Trainer trainer(&cg.graph, &model, TrainerConfig{.batch_size = 32,
-                                                   .learning_rate = 0.02f});
-  Xoshiro256 rng(5);
-  const auto history = trainer.Fit(
-      cg.test_seeds, {.steps = 1000, .eval_every = 5, .patience = 2, .min_delta = 0.02},
-      rng);
-  ASSERT_FALSE(history.empty());
-  EXPECT_LT(history.back().step, 1000) << "early stopping never fired";
-}
-
 }  // namespace
 }  // namespace platod2gl

@@ -381,8 +381,9 @@ TEST(SubsystemRegistryTest, PipelineSharesOneRegistry) {
   GraphStore graph;
   ThreadPool pool(2);
   EpochCoordinator epochs;
+  TemporalEdgeLog log;
   UpdateIngestor ingestor(IngestorConfig{}, &reg);
-  MicroBatcher batcher(&graph, &pool, &ingestor, &epochs, /*log=*/nullptr,
+  MicroBatcher batcher(&graph, &pool, &ingestor, &epochs, &log,
                        MicroBatcherConfig{}, &reg);
 
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -440,11 +441,10 @@ struct FixedWorkload {
   GraphStore graph;
   ThreadPool pool{2};
   EpochCoordinator pipeline_epochs;
+  TemporalEdgeLog log;
   UpdateIngestor ingestor{IngestorConfig{}, &pipeline_metrics};
-  MicroBatcher micro{&graph,          &pool,
-                     &ingestor,       &pipeline_epochs,
-                     /*log=*/nullptr, MicroBatcherConfig{},
-                     &pipeline_metrics};
+  MicroBatcher micro{&graph, &pool, &ingestor, &pipeline_epochs, &log,
+                     MicroBatcherConfig{}, &pipeline_metrics};
 
   void Run() {
     std::vector<EdgeUpdate> batch;

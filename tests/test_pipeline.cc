@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -196,6 +197,34 @@ TEST(IngestorTest, InvalidRelationRefusedAtTheDoor) {
   EXPECT_EQ(ing.OfferInsert(2, {1, 2, 1.0, 2}).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ing.Stats().invalid, 1u);
+}
+
+TEST(IngestorTest, BadWeightRefusedAtTheDoor) {
+  UpdateIngestor ing;
+  const Weight nan = std::numeric_limits<Weight>::quiet_NaN();
+  for (const Weight w : {nan, std::numeric_limits<Weight>::infinity(), -5.0}) {
+    EXPECT_EQ(ing.OfferInsert(1, {1, 2, w, 0}).code(),
+              StatusCode::kInvalidArgument)
+        << w;
+    EXPECT_EQ(
+        ing.Offer({1, {UpdateKind::kInPlaceUpdate, Edge{1, 2, w, 0}}}).code(),
+        StatusCode::kInvalidArgument)
+        << w;
+  }
+  // A delete never reads its weight.
+  EXPECT_TRUE(ing.Offer({2, {UpdateKind::kDelete, Edge{1, 2, nan, 0}}}).ok());
+  EXPECT_EQ(ing.Stats().invalid, 6u);
+  EXPECT_EQ(ing.QueueDepth(), 1u);
+}
+
+TEST(IngestorTest, InvalidVertexRefusedAtTheDoor) {
+  UpdateIngestor ing;
+  EXPECT_EQ(ing.OfferInsert(1, {kInvalidVertex, 2, 1.0, 0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ing.OfferInsert(1, {1, kInvalidVertex, 1.0, 0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ing.Stats().invalid, 2u);
+  EXPECT_EQ(ing.QueueDepth(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,8 +485,7 @@ TEST(ContinuousTrainerTest, StalenessReportsIngestLag) {
   GraphSageModel model(
       GraphSageConfig{.in_dim = 8, .hidden_dim = 16, .num_classes = 4}, 3);
   Trainer trainer(&p.graph, &model, TrainerConfig{.batch_size = 16});
-  ContinuousTrainer driver(&p.ingestor, &p.batcher, &p.epochs, &trainer,
-                           ContinuousTrainerConfig{});
+  ContinuousTrainer driver(&p.ingestor, &p.batcher, &p.epochs, &trainer);
 
   // New traffic arrives but is NOT pumped: staleness = lag in event time.
   ASSERT_TRUE(p.ingestor.OfferInsert(1500, {2, 3, 1.0, 0}).ok());

@@ -72,27 +72,6 @@ void ExpectAllReplicasConverged(GraphCluster& c, std::size_t replicas) {
   }
 }
 
-// --- AckWindow -------------------------------------------------------------
-
-TEST(AckWindowTest, MonotonicAndImmediateWhenAlreadyAcked) {
-  AckWindow w;
-  EXPECT_EQ(w.acked(), 0u);
-  w.Ack(10);
-  w.Ack(5);  // stale cumulative ack: ignored
-  EXPECT_EQ(w.acked(), 10u);
-  w.WaitForAcked(10);  // must not block
-  w.WaitForAcked(3);
-}
-
-TEST(AckWindowTest, WakesBlockedWaiter) {
-  AckWindow w;
-  std::thread waiter([&] { w.WaitForAcked(42); });
-  w.Ack(41);  // not enough yet
-  w.Ack(42);
-  waiter.join();
-  EXPECT_EQ(w.acked(), 42u);
-}
-
 // --- Basic shipping --------------------------------------------------------
 
 TEST(ReplicationShipTest, ReplicasMatchPrimaryByteForByte) {
@@ -127,7 +106,6 @@ TEST(ReplicationShipTest, AckedWatermarkReachesLogHeadAfterFlush) {
   ASSERT_TRUE(c.FlushReplication().ok());
   for (std::size_t s = 0; s < c.num_shards(); ++s) {
     const std::uint64_t head = c.shard(s).wal_seq();
-    EXPECT_EQ(c.replication()->ack_window(s).acked(), head) << "shard " << s;
     for (const auto& probe : c.replication()->Probe(s)) {
       EXPECT_EQ(probe.applied_seq, head);
       EXPECT_EQ(probe.acked_seq, head);

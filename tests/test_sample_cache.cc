@@ -203,7 +203,7 @@ TEST(SampleCacheInvalidationTest, InterleavedBatchUpdatesNeverServeStale) {
   EXPECT_GT(stats.hits, 0u);
 }
 
-TEST(SampleCacheInvalidationTest, RemoveSourceDropsCachedNeighborhood) {
+TEST(SampleCacheInvalidationTest, EmptiedSourceDropsCachedNeighborhood) {
   GraphStore g(EagerCacheConfig());
   Xoshiro256 rng(44);
   for (VertexId d = 0; d < 64; ++d) g.AddEdge({1, 100 + d, 1.0, 0});
@@ -212,11 +212,14 @@ TEST(SampleCacheInvalidationTest, RemoveSourceDropsCachedNeighborhood) {
   ASSERT_TRUE(g.SampleNeighbors(1, 32, true, rng, &out, 0));  // warms cache
   ASSERT_TRUE(g.SampleNeighbors(1, 32, true, rng, &out, 0));
 
-  // Drop the source entirely, then rebuild it with a disjoint
-  // neighbourhood: the fresh samtree's unique stamp must invalidate the
-  // old entry even though the vertex ID (and possibly the heap slot) is
-  // reused.
-  ASSERT_EQ(g.topology(0).RemoveSource(1), 64u);
+  // Delete every edge of the source, then refill it with a disjoint
+  // neighbourhood. The emptied samtree stays in the map and is replaced
+  // by a fresh one when the first new edge lands: its unique stamp must
+  // invalidate the old entry even though the vertex ID is reused.
+  for (VertexId d = 0; d < 64; ++d) {
+    ASSERT_TRUE(g.topology(0).RemoveEdge(1, 100 + d));
+  }
+  EXPECT_FALSE(g.SampleNeighbors(1, 32, true, rng, &out, 0));
   for (VertexId d = 0; d < 64; ++d) g.AddEdge({1, 900 + d, 1.0, 0});
 
   for (int rep = 0; rep < 8; ++rep) {

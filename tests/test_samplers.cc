@@ -57,18 +57,6 @@ TEST(NodeSamplerTest, UniformCoversSources) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(NodeSamplerTest, DegreeWeightedFavorsHeavyVertices) {
-  GraphStore g;
-  for (VertexId d = 0; d < 90; ++d) g.AddEdge({1, 1000 + d, 1.0, 0});
-  for (VertexId d = 0; d < 10; ++d) g.AddEdge({2, 2000 + d, 1.0, 0});
-  NodeSampler sampler(&g.topology(0));
-  Xoshiro256 rng(3);
-  int heavy = 0;
-  const auto picks = sampler.SampleByDegree(10000, rng);
-  for (VertexId v : picks) heavy += (v == 1);
-  EXPECT_NEAR(heavy / 10000.0, 0.9, 0.02);
-}
-
 TEST(NodeSamplerTest, RefreshSeesNewVertices) {
   GraphStore g;
   FillStarGraph(&g);
@@ -84,7 +72,6 @@ TEST(NodeSamplerTest, EmptyStoreYieldsNothing) {
   NodeSampler sampler(&empty);
   Xoshiro256 rng(4);
   EXPECT_TRUE(sampler.SampleUniform(10, rng).empty());
-  EXPECT_TRUE(sampler.SampleByDegree(10, rng).empty());
 }
 
 TEST(SubgraphSamplerTest, TwoHopShapeAndParents) {

@@ -338,27 +338,5 @@ TEST(SamtreeTest, MergeWithLeftSiblingWhenRightmostUnderflows) {
   for (VertexId v = 1; v <= 5; ++v) EXPECT_TRUE(t.Contains(v));
 }
 
-TEST(SamtreeTest, CloneIsIndependentAndEqual) {
-  Samtree a(SmallConfig(8));
-  Xoshiro256 rng(77);
-  for (int i = 0; i < 500; ++i) {
-    a.Insert(rng.NextUint64(2000), 0.01 + rng.NextDouble());
-  }
-  Samtree b = a.Clone();
-  EXPECT_EQ(b.size(), a.size());
-  std::string err;
-  ASSERT_TRUE(b.CheckInvariants(&err)) << err;
-  const auto ma = AsMap(a);
-  auto mb = AsMap(b);
-  ASSERT_EQ(ma.size(), mb.size());
-  for (const auto& [v, w] : ma) ASSERT_NEAR(mb.at(v), w, 1e-9) << v;
-
-  // Mutating the clone leaves the original untouched.
-  b.Insert(999999, 5.0);
-  b.Remove(ma.begin()->first);
-  EXPECT_FALSE(a.Contains(999999));
-  EXPECT_TRUE(a.Contains(ma.begin()->first));
-}
-
 }  // namespace
 }  // namespace platod2gl

@@ -1,6 +1,5 @@
 // Samtree query extensions: weighted sampling without replacement
-// (FSTable-enabled), ranged counting/enumeration, plus the TopologyStore
-// pass-throughs (distinct sampling, vertex removal, range counts).
+// (FSTable-enabled) and ranged counting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 
 #include "common/random.h"
 #include "core/samtree.h"
-#include "storage/topology_store.h"
 
 namespace platod2gl {
 namespace {
@@ -111,17 +109,6 @@ TEST(RangeQueryTest, FullAndEmptyRanges) {
   EXPECT_EQ(t.CountInRange(30, 10), 0u);  // inverted range
 }
 
-TEST(RangeQueryTest, NeighborsInRangeReturnsWeights) {
-  Samtree t(SamtreeConfig{.node_capacity = 4});
-  for (VertexId v = 0; v < 50; ++v) t.Insert(v, static_cast<Weight>(v + 1));
-  const auto got = t.NeighborsInRange(10, 14);
-  ASSERT_EQ(got.size(), 5u);
-  std::map<VertexId, Weight> m(got.begin(), got.end());
-  for (VertexId v = 10; v <= 14; ++v) {
-    ASSERT_NEAR(m.at(v), static_cast<Weight>(v + 1), 1e-9);
-  }
-}
-
 TEST(RangeQueryTest, NamespaceFilteringUseCase) {
   // Heterogeneous ID namespaces: range queries slice a neighbourhood by
   // vertex type (all live-rooms vs all tags of one user).
@@ -132,29 +119,6 @@ TEST(RangeQueryTest, NamespaceFilteringUseCase) {
   for (VertexId i = 0; i < 7; ++i) t.Insert(kTagBase + i, 1.0);
   EXPECT_EQ(t.CountInRange(kLiveBase, kTagBase - 1), 30u);
   EXPECT_EQ(t.CountInRange(kTagBase, kInvalidVertex), 7u);
-}
-
-TEST(TopologyStoreQueryTest, DistinctSamplingAndRangeAndRemoval) {
-  TopologyStore store;
-  for (VertexId d = 0; d < 64; ++d) store.AddEdge(1, 100 + d, 1.0);
-  store.AddEdge(2, 5, 1.0);
-
-  Xoshiro256 rng(9);
-  const auto picks = store.SampleNeighborsDistinct(1, 10, rng);
-  EXPECT_EQ(picks.size(), 10u);
-  EXPECT_EQ(std::set<VertexId>(picks.begin(), picks.end()).size(), 10u);
-  EXPECT_TRUE(store.SampleNeighborsDistinct(999, 5, rng).empty());
-
-  EXPECT_EQ(store.CountNeighborsInRange(1, 100, 131), 32u);
-  EXPECT_EQ(store.CountNeighborsInRange(42, 0, kInvalidVertex), 0u);
-
-  EXPECT_EQ(store.RemoveSource(1), 64u);
-  EXPECT_EQ(store.Degree(1), 0u);
-  EXPECT_EQ(store.NumEdges(), 1u);
-  EXPECT_EQ(store.RemoveSource(1), 0u);  // already gone
-  // Source can come back afterwards.
-  store.AddEdge(1, 7, 2.0);
-  EXPECT_EQ(store.Degree(1), 1u);
 }
 
 class DistinctVsReplacementSweep

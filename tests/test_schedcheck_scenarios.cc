@@ -413,41 +413,7 @@ TEST(SchedCheckSampleCache, HitAndInvalidationRebuildAreCleanUnderRandomWalk) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 5 — AckWindow: waiter vs two concurrent cumulative acks.
-//
-// The replication ack watermark (dist/replication.h) is a classic
-// monitor: WaitForAcked sleeps on a condvar, Ack advances the watermark
-// and notifies *under the mutex*. A notify outside the lock (or a missed
-// one) is a lost wakeup, which every schedule here would surface as a
-// modeled deadlock of "waiter".
-// ---------------------------------------------------------------------------
-
-void AckWindowScenario(sched::Test& t) {
-  auto w = std::make_shared<platod2gl::AckWindow>();
-  t.Spawn("waiter", [w] {
-    w->WaitForAcked(2);
-    sched::Check(w->acked() >= 2, "wait returns only once the ack landed");
-  });
-  t.Spawn("acker-a", [w] { w->Ack(1); });
-  t.Spawn("acker-b", [w] { w->Ack(2); });
-  t.AfterRun([w] {
-    sched::Check(w->acked() == 2,
-                 "cumulative watermark is the max seq acked, in any order");
-  });
-}
-
-TEST(SchedCheckAckWindow, NoLostWakeupExhaustively) {
-  const sched::Result r = sched::Explore(Exhaustive(), AckWindowScenario);
-  ExpectOk(r);
-  EXPECT_GT(r.schedules, 1u);
-}
-
-TEST(SchedCheckAckWindow, NoLostWakeupUnderRandomWalk) {
-  ExpectOk(sched::Explore(RandomWalk(), AckWindowScenario));
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 6 — ReplicationManager: failover promotion racing the epoch
+// Scenario 5 — ReplicationManager: failover promotion racing the epoch
 // barrier.
 //
 // Promotion swaps the primary's store under cutover->BeginWrite(); the
@@ -549,16 +515,15 @@ TEST(SchedCheckReplication, PromotionVsEpochBarrierUnderRandomWalk) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 7 — AdmissionController: blocked kBlock submitter vs Release
-// vs Close.
+// Scenario 6 — AdmissionController: submitter probe vs Release vs Close.
 //
-// The serving layer's admission window (src/serve/admission.h) is the
-// same monitor shape as the ingestor's space_cv: a full window parks the
-// kBlock submitter in Admit(); Release() frees the only slot and
-// Close() shuts the window, racing to wake it. A notify outside the
-// lock — or none at all — is a lost wakeup every schedule here surfaces
-// as a modeled deadlock of "blocked-submitter"; afterwards the window
-// books must balance regardless of who won.
+// The serving layer's admission window (src/serve/admission.h) keeps its
+// books under one mutex while the closed flag is a separate atomic. A
+// full 1-slot window; a submitter probes it with TryAdmit while Release()
+// frees the only slot and Close() shuts the window. Whoever wins, the
+// verdict must be one the policy matrix can report, every outcome must be
+// counted exactly once, the window occupancy must balance admissions
+// minus releases, and a close must stay closed.
 // ---------------------------------------------------------------------------
 
 struct AdmissionState {
@@ -571,31 +536,35 @@ struct AdmissionState {
     platod2gl::serve::AdmissionConfig c;
     c.max_in_flight = 1;
     c.tenant_quota = 1;
-    c.policy = platod2gl::serve::AdmissionPolicy::kBlock;
     return c;
   }
   platod2gl::serve::AdmissionController ac;
   platod2gl::serve::AdmissionController::Verdict verdict0;
   platod2gl::serve::AdmissionController::Verdict verdict =
-      platod2gl::serve::AdmissionController::Verdict::kWindowFull;
+      platod2gl::serve::AdmissionController::Verdict::kQuotaFull;
 };
 
 void AdmissionWindowScenario(sched::Test& t) {
   using Verdict = platod2gl::serve::AdmissionController::Verdict;
   auto s = std::make_shared<AdmissionState>();
   sched::Check(s->verdict0 == Verdict::kAdmitted, "pre-fill took the slot");
-  t.Spawn("blocked-submitter", [s] { s->verdict = s->ac.Admit(1); });
+  t.Spawn("submitter", [s] { s->verdict = s->ac.TryAdmit(1); });
   t.Spawn("releaser", [s] { s->ac.Release(0); });
   t.Spawn("closer", [s] { s->ac.Close(); });
   t.AfterRun([s] {
     using Verdict = platod2gl::serve::AdmissionController::Verdict;
     sched::Check(s->verdict == Verdict::kAdmitted ||
+                     s->verdict == Verdict::kWindowFull ||
                      s->verdict == Verdict::kClosed,
-                 "a blocking admit either lands or observes the close");
+                 "a probe lands, finds the window full or observes the close");
     const auto stats = s->ac.Stats();
     const std::uint64_t admitted =
         1 + (s->verdict == Verdict::kAdmitted ? 1u : 0u);
     sched::Check(stats.admitted == admitted, "admissions counted exactly");
+    sched::Check(stats.window_rejects ==
+                     (s->verdict == Verdict::kWindowFull ? 1u : 0u),
+                 "a full-window verdict is a counted window-reject");
+    sched::Check(stats.quota_rejects == 0, "tenant 1 is never over quota");
     sched::Check(stats.closed_rejects ==
                      (s->verdict == Verdict::kClosed ? 1u : 0u),
                  "a closed verdict is a counted close-reject");
@@ -603,14 +572,13 @@ void AdmissionWindowScenario(sched::Test& t) {
     // still in flight.
     sched::Check(s->ac.in_flight() == admitted - 1,
                  "window occupancy balances admissions minus releases");
-    sched::Check(stats.blocked_waits <= 1, "the submitter parks at most once");
     sched::Check(s->ac.closed(), "close is sticky");
     sched::Check(s->ac.TryAdmit(2) == Verdict::kClosed,
                  "new arrivals observe the close");
   });
 }
 
-TEST(SchedCheckAdmission, BlockedSubmitterReleaseAndCloseAlwaysTerminate) {
+TEST(SchedCheckAdmission, ProbeReleaseAndCloseBalanceTheBooksExhaustively) {
   const sched::Result r = sched::Explore(Exhaustive(), AdmissionWindowScenario);
   ExpectOk(r);
   EXPECT_GT(r.schedules, 1u);
@@ -621,7 +589,7 @@ TEST(SchedCheckAdmission, WindowBooksBalanceUnderRandomWalk) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 8 — RequestBatcher: Close() racing two Enqueues.
+// Scenario 7 — RequestBatcher: Close() racing two Enqueues.
 //
 // Enqueue's closed check and its push must be one critical section: an
 // unlocked check-then-lock would let Close() land in the gap and strand

@@ -404,39 +404,6 @@ TEST(AdmissionPolicyTest, ShedOutcomesAreAPureFunctionOfArrivalOrder) {
   EXPECT_GT(shed, 0u) << "the overload actually shed something";
 }
 
-TEST(AdmissionPolicyTest, BlockPolicyWaitsForARetiredSlot) {
-  GraphCluster cluster(ServeClusterConfig(2));
-  PopulateGraph(&cluster);
-  EpochCoordinator epochs;
-  ServeConfig cfg;
-  cfg.admission.max_in_flight = 1;
-  cfg.admission.tenant_quota = 1;
-  cfg.admission.policy = AdmissionPolicy::kBlock;
-  cfg.batcher.max_batch = 1;  // dispatch immediately on pump
-  GraphServer server(&cluster, &epochs, cfg);
-
-  ASSERT_TRUE(server.Submit(MakeSampleRequest(0, 1, 1, {1}), 0).ok());
-  server.Pump(0);  // request 1 is now in flight, window full
-
-  Status blocked_result = Status::Ok();
-  std::thread submitter([&] {
-    blocked_result = server.Submit(MakeSampleRequest(1, 2, 2, {2}), 0);
-  });
-  // Retiring request 1 (the virtual clock passes its completion) frees
-  // the slot and wakes the submitter.
-  while (server.Stats().admission.blocked_waits == 0) {
-    std::this_thread::yield();
-  }
-  server.Pump(/*now_us=*/10000000);
-  submitter.join();
-  ASSERT_TRUE(blocked_result.ok());
-
-  server.Drain(20000000);
-  const auto completed = server.TakeCompleted();
-  ASSERT_EQ(completed.size(), 2u);
-  EXPECT_EQ(server.Stats().admission.blocked_waits, 1u);
-}
-
 TEST(AdmissionPolicyTest, CloseRefusesNewWorkButDrainsQueued) {
   GraphCluster cluster(ServeClusterConfig(2));
   PopulateGraph(&cluster);
@@ -535,9 +502,10 @@ TEST(ServeEpochConsistencyTest, PlanSeesOneSnapshotUnderConcurrentMutation) {
 
   EpochCoordinator epochs;
   ThreadPool pool(2);
+  TemporalEdgeLog log;
   UpdateIngestor ingestor(IngestorConfig{.num_shards = 1});
   MicroBatcher mutator(&cluster.shard(0).store(), &pool, &ingestor, &epochs,
-                       /*log=*/nullptr);
+                       &log);
 
   GraphServer server(&cluster, &epochs, {});
 

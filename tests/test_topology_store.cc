@@ -30,7 +30,6 @@ TEST(TopologyStoreTest, AddAndQueryEdges) {
   EXPECT_TRUE(store.HasEdge(1, 3));
   EXPECT_FALSE(store.HasEdge(1, 4));
   EXPECT_NEAR(*store.EdgeWeight(3, 7), 0.7, 1e-12);
-  EXPECT_NEAR(store.VertexWeight(1), 0.7, 1e-12);
 }
 
 TEST(TopologyStoreTest, ReinsertRefreshesWeightWithoutNewEdge) {

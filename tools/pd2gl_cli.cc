@@ -7,7 +7,8 @@
 //   pd2gl stats <edges.txt | graph.ckpt>
 //       degree summary and log2 degree histogram, topology memory
 //   pd2gl sample <edges.txt | graph.ckpt> <vertex> <k>
-//       draw k weighted neighbours of a vertex
+//       draw k weighted neighbours of a vertex; k is bounded like a
+//       serving plan's fanout (1 <= k <= PlannerLimits::max_fanout)
 //   pd2gl verify-store <edges.txt | graph.ckpt>
 //       run the full structural invariant sweep over every samtree of
 //       every relation (Definition-1 bounds, routing order, FSTable /
@@ -39,6 +40,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -77,6 +79,14 @@ GraphStoreConfig EightRelations() {
   GraphStoreConfig cfg;
   cfg.num_relations = 8;
   return cfg;
+}
+
+/// Parse `s` as a whole unsigned decimal number: digits only, nothing
+/// after them, no overflow.
+bool ParseUnsigned(const char* s, std::uint64_t* out) {
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 bool LooksLikeCheckpoint(const std::string& path) {
@@ -203,10 +213,21 @@ int CmdStats(int argc, char** argv) {
 
 int CmdSample(int argc, char** argv) {
   if (argc < 3) return Usage();
+  // The sampler reserves k slots up front, so k is bounded like a serving
+  // plan's fanout.
+  const std::uint32_t max_k = serve::PlannerLimits{}.max_fanout;
+  VertexId v = 0;
+  std::uint64_t k = 0;
+  if (!ParseUnsigned(argv[1], &v) || !ParseUnsigned(argv[2], &k) || k == 0 ||
+      k > max_k) {
+    std::fprintf(stderr,
+                 "error: <vertex> and <k> must be whole numbers, "
+                 "1 <= k <= %u\n",
+                 max_k);
+    return Usage();
+  }
   GraphStore graph(EightRelations());
   if (!LoadAnyGraph(argv[0], &graph)) return 1;
-  const VertexId v = std::strtoull(argv[1], nullptr, 10);
-  const std::size_t k = std::strtoull(argv[2], nullptr, 10);
 
   Xoshiro256 rng(1);
   std::vector<VertexId> out;
