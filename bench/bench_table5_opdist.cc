@@ -34,8 +34,12 @@ int main() {
     SamtreeStore store(SamtreeConfig{.node_capacity = capacity,
                                      .alpha = 0,
                                      .compress_ids = true});
+    // The build runs on this thread, so its counters are exactly the
+    // build's ops.
+    SamtreeOpStats& ops = Samtree::ThreadOpStats();
+    ops = {};
     BuildSamtreeStore(store, ds.edges);
-    const SamtreeOpStats stats = store.topology().AggregateStats();
+    const SamtreeOpStats stats = ops;
     const double total =
         static_cast<double>(stats.leaf_ops + stats.internal_ops);
     std::printf("%-14u %14llu %14llu %9.2f%% %9.3f%%\n", capacity,

@@ -1,7 +1,6 @@
 #include "pipeline/update_ingestor.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace platod2gl {
 
@@ -52,11 +51,7 @@ void UpdateIngestor::NoteAccepted(std::uint64_t timestamp) {
 }
 
 Status UpdateIngestor::Offer(const TimedUpdate& u) {
-  // num_relations == 0 leaves the type unchecked: every EdgeType passes.
-  const std::size_t relations = config_.num_relations > 0
-                                    ? config_.num_relations
-                                    : std::numeric_limits<std::size_t>::max();
-  if (!IsValidUpdate(u.update, relations)) {
+  if (!IsValidUpdate(u.update, config_.num_relations)) {
     counters_.invalid->Add(1);
     return Status::InvalidArgument("update " +
                                    std::to_string(u.update.edge.src) + "->" +

@@ -51,11 +51,11 @@ struct IngestorConfig {
   std::size_t num_shards = 4;       ///< independent producer queues
   std::size_t shard_capacity = 4096;  ///< bound per shard, in updates
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
-  /// When > 0, offers whose edge type is >= num_relations are rejected
-  /// with kInvalidArgument at the door instead of faulting deep inside
-  /// the store's relation routing. 0 disables the type check; the vertex
-  /// and weight checks of IsValidUpdate always run.
-  std::size_t num_relations = 0;
+  /// Offers whose edge type is >= num_relations are rejected with
+  /// kInvalidArgument at the door, with the vertex and weight checks of
+  /// IsValidUpdate. Set it to the store's relation count (GraphStoreConfig
+  /// defaults to 1, and so does this).
+  std::size_t num_relations = 1;
 };
 
 /// Ingestor counters, one row each: exported as pd2gl_ingest_<name> and

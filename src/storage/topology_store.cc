@@ -233,19 +233,6 @@ MemoryBreakdown TopologyStore::Memory() const {
   return mem;
 }
 
-SamtreeOpStats TopologyStore::AggregateStats() const {
-  SamtreeOpStats total;
-  trees_.ForEach([&](VertexId, const Samtree& tree) {
-    const SamtreeOpStats& s = tree.stats();
-    total.leaf_ops += s.leaf_ops;
-    total.internal_ops += s.internal_ops;
-    total.leaf_splits += s.leaf_splits;
-    total.internal_splits += s.internal_splits;
-    total.merges += s.merges;
-  });
-  return total;
-}
-
 bool TopologyStore::CheckAllInvariants(std::string* error) const {
   bool ok = true;
   std::size_t edge_total = 0;

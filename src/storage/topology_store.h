@@ -117,9 +117,6 @@ class TopologyStore {
   MemoryBreakdown Memory() const;
   std::size_t MemoryUsage() const { return Memory().Total(); }
 
-  /// Aggregate samtree op counters over all trees (Table V).
-  SamtreeOpStats AggregateStats() const;
-
   /// Verify every samtree's invariants plus the store-level aggregate:
   /// the lock-free edge counter must equal the sum of tree sizes (every
   /// mutation path maintains it, so drift means a path miscounted).

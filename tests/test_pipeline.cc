@@ -199,6 +199,20 @@ TEST(IngestorTest, InvalidRelationRefusedAtTheDoor) {
   EXPECT_EQ(ing.Stats().invalid, 1u);
 }
 
+TEST(IngestorTest, DefaultConfigRefusesATypeTheDefaultStoreLacks) {
+  // A default ingestor checks types against one relation, as a default
+  // GraphStore holds: type 5 is refused at the door, not accepted and
+  // then dropped by the micro-batcher.
+  UpdateIngestor ing;
+  EXPECT_EQ(ing.OfferInsert(1, {1, 2, 1.0, 5}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ing.OfferInsert(2, {1, 2, 1.0, 0}).ok());
+  const IngestorStats st = ing.Stats();
+  EXPECT_EQ(st.invalid, 1u);
+  EXPECT_EQ(st.accepted, 1u);
+  EXPECT_EQ(ing.QueueDepth(), 1u);
+}
+
 TEST(IngestorTest, BadWeightRefusedAtTheDoor) {
   UpdateIngestor ing;
   const Weight nan = std::numeric_limits<Weight>::quiet_NaN();

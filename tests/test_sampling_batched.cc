@@ -334,6 +334,8 @@ TEST(AliasTableBatched, SampleBatchMatchesRepeatedSample) {
 
 TEST(SamtreeLifecycle, BuildMutateSampleDestroyReleasesEverything) {
   Samtree tree = BuildTree(3000, 8, 77);
+  SamtreeOpStats& ops = Samtree::ThreadOpStats();
+  ops = {};
   // Churn: removals force merges, re-inserts force splits, so nodes are
   // freed and allocated again every round. LeakSanitizer checks that
   // destroying the tree releases all of them.
@@ -347,8 +349,8 @@ TEST(SamtreeLifecycle, BuildMutateSampleDestroyReleasesEverything) {
     tree.SampleWeighted(128, rng, &out);
     EXPECT_EQ(out.size(), 128u);
   }
-  EXPECT_GT(tree.stats().merges, 0u);
-  EXPECT_GT(tree.stats().leaf_splits, 0u);
+  EXPECT_GT(ops.merges, 0u);
+  EXPECT_GT(ops.leaf_splits, 0u);
   std::string err;
   EXPECT_TRUE(tree.CheckInvariants(&err)) << err;
 }
@@ -357,12 +359,12 @@ TEST(SamtreeLifecycle, TreeGrownThroughSplitsSamplesLikeSingleDraws) {
   // A tree grown from 500 to 2000 neighbours through several splits keeps
   // its invariants, and the k-draw descent over it matches k single draws.
   Samtree tree = BuildTree(500, 8, 13);
-  const std::uint64_t splits_before = tree.stats().leaf_splits;
+  const std::uint64_t splits_before = Samtree::ThreadOpStats().leaf_splits;
   Xoshiro256 rng(17);
   for (VertexId v = 100000; v < 101500; ++v) {
     tree.Insert(v, 0.05 + rng.NextDouble());
   }
-  EXPECT_GT(tree.stats().leaf_splits, splits_before);
+  EXPECT_GT(Samtree::ThreadOpStats().leaf_splits, splits_before);
   std::string err;
   EXPECT_TRUE(tree.CheckInvariants(&err)) << err;
 

@@ -115,6 +115,8 @@ TEST(TopologyStoreTest, MemoryBreakdownNonTrivial) {
 }
 
 TEST(TopologyStoreTest, MemoryIsTheSumOfItsTrees) {
+  SamtreeOpStats& ops = Samtree::ThreadOpStats();
+  ops = {};
   TopologyStore store(SamtreeConfig{.node_capacity = 8});
   for (VertexId s = 0; s < 20; ++s) {
     for (VertexId d = 0; d < 200; ++d) store.AddEdge(s, d, 1.0 + d);
@@ -123,7 +125,7 @@ TEST(TopologyStoreTest, MemoryIsTheSumOfItsTrees) {
   for (VertexId s = 0; s < 20; ++s) {
     for (VertexId d = 0; d < 150; ++d) ASSERT_TRUE(store.RemoveEdge(s, d));
   }
-  ASSERT_GT(store.AggregateStats().merges, 0u);
+  ASSERT_GT(ops.merges, 0u);
   std::vector<std::pair<VertexId, Weight>> nbrs;
   for (VertexId d = 0; d < 500; ++d) nbrs.emplace_back(d, 0.5);
   store.InstallTree(1000, Samtree::BulkBuild(std::move(nbrs), store.config()));
@@ -141,14 +143,29 @@ TEST(TopologyStoreTest, MemoryIsTheSumOfItsTrees) {
   EXPECT_EQ(mem.other_bytes, trees.other_bytes);
 }
 
-TEST(TopologyStoreTest, AggregateStatsSumsTrees) {
+TEST(TopologyStoreTest, ThreadOpStatsCountEveryTreeTheThreadWrites) {
+  // The counters follow the writing thread across all of its trees: ten
+  // sources, thirty inserts each.
+  SamtreeOpStats& stats = Samtree::ThreadOpStats();
+  stats = {};
   TopologyStore store(SamtreeConfig{.node_capacity = 4});
   for (VertexId s = 0; s < 10; ++s) {
     for (VertexId d = 0; d < 30; ++d) store.AddEdge(s, d, 1.0);
   }
-  const SamtreeOpStats stats = store.AggregateStats();
   EXPECT_GE(stats.leaf_ops, 300u);
   EXPECT_GT(stats.leaf_splits, 0u);
+  // Another thread's writes land in its own counters, not in these.
+  const SamtreeOpStats before = stats;
+  std::uint64_t other_leaf_ops = 0;
+  std::thread writer([&] {
+    Samtree::ThreadOpStats() = {};
+    for (VertexId d = 0; d < 30; ++d) store.AddEdge(100, d, 1.0);
+    other_leaf_ops = Samtree::ThreadOpStats().leaf_ops;
+  });
+  writer.join();
+  EXPECT_GE(other_leaf_ops, 30u);
+  EXPECT_EQ(stats.leaf_ops, before.leaf_ops);
+  EXPECT_EQ(stats.leaf_splits, before.leaf_splits);
 }
 
 TEST(TopologyStoreTest, ConcurrentWritersDisjointSources) {
