@@ -131,6 +131,20 @@ TEST(CompressedIdsTest, SetOverwrites) {
   EXPECT_EQ(l.Get(1), 6u);
 }
 
+TEST(CompressedIdsTest, ReencodeKeepsTheRoomInIds) {
+  // Room for 16 one-byte suffixes; an ID that shares only 4 bytes widens
+  // every suffix to 4 bytes, and the list still holds room for 16 IDs.
+  CompressedIdList l(std::vector<VertexId>{0x10, 0x11, 0x12}, true, 16);
+  EXPECT_EQ(l.prefix_bytes(), 7);
+  EXPECT_EQ(l.capacity(), 16u);
+  l.Append(0x01000013ULL);
+  EXPECT_EQ(l.prefix_bytes(), 4);
+  EXPECT_EQ(l.capacity(), 16u);
+  EXPECT_EQ(l.MemoryUsage(), 16u * 4 + 1 + 4);  // suffixes, z, prefix
+  EXPECT_EQ(l.Get(0), 0x10u);
+  EXPECT_EQ(l.Get(3), 0x01000013ULL);
+}
+
 TEST(CompressedIdsTest, CompressionSavesMemoryOnClusteredIds) {
   CompressedIdList compressed(true);
   CompressedIdList raw(false);
