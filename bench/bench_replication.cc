@@ -1,12 +1,10 @@
-// Robustness bench: ingest throughput and replica staleness as the
-// per-shard replica count scales (docs/replication.md).
+// Robustness bench: ingest throughput as the per-shard replica count
+// scales (docs/replication.md).
 //
-// One writer streams update batches through GraphCluster::ApplyBatch
-// with async WAL shipping enabled, so the replication pump overlaps
-// ingestion exactly as a deployment would run it. After every few
-// batches the per-replica watermark lag (primary wal_seq - replica
-// applied_seq, in WAL entries) is probed into a histogram; p50/p99 of
-// that lag is the staleness a bounded-staleness read would observe.
+// One writer streams update batches through GraphCluster::ApplyBatch,
+// which ships the new WAL entries to every replica inline before it
+// returns. On a fault-free channel every replica is therefore caught up
+// whenever ApplyBatch returns, so there is no staleness to report.
 //
 // Accounting: this is a shared-host simulation of a distributed system,
 // so the replicas' own apply work (decode + store apply, metered as
@@ -17,8 +15,8 @@
 // which charges the ingest path for everything replication adds on the
 // primary (WAL window copies, encoding, fault draws, lock waits) but
 // not for remote apply. Wall-clock throughput is reported alongside for
-// transparency; on a single-core host it degrades with replica count by
-// construction, telling you about the host, not the system.
+// transparency; it degrades with replica count by construction, because
+// the replicas' apply runs on the writer's thread.
 //
 // The replica counts run interleaved (0, 1, 2, 0, 1, 2, ...), so slow
 // drift of a shared host lands on every count alike. Results (medians,
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/histogram.h"
 #include "common/timer.h"
 #include "dist/cluster.h"
 
@@ -42,19 +39,17 @@ using namespace platod2gl::bench;
 namespace {
 
 constexpr std::size_t kVertices = 4000;
-// Few large batches: each ApplyBatch kicks the pump once, and on a
-// single-core host every pump wake is two context switches charged to
-// the ingest thread's cache. 1000-update batches spend ~15% of the
-// ingest thread on switch/pollution overhead that a dedicated-core
-// deployment never sees; streaming ingest batches are this coarse in
-// the paper's pipeline anyway.
+// Few large batches: each ApplyBatch makes one ship round per shard,
+// and a round's fixed costs (watermark reads, the ack, the fault draws)
+// are paid per batch, not per update. Streaming ingest batches are this
+// coarse in the paper's pipeline anyway.
 constexpr std::size_t kBatches = 80;
 constexpr std::size_t kBatchSize = 5000;
 constexpr double kMaxOneReplicaLoss = 0.15;
 // Interleaved runs per replica count. The gate compares two medians, so
 // their spread must sit well inside the 15% floor: with 31 runs of 400k
 // updates, 30 bench runs on a 4-vCPU host put the gated ratio at
-// 0.871-0.93 (median 0.896, sd 0.013) against the 0.85 floor.
+// 0.899-0.970 (median 0.929) against the 0.85 floor.
 constexpr int kRepetitions = 31;
 
 double ProcessCpuSeconds() {
@@ -68,9 +63,6 @@ struct RunResult {
   double wall_secs = 0.0;
   double primary_cpu_secs = 0.0;  ///< process CPU minus replica apply CPU
   double replica_apply_secs = 0.0;
-  double pump_cpu_secs = 0.0;  ///< total pump-thread CPU (ship + apply)
-  double lag_p50 = 0.0;  ///< WAL entries behind, median probe
-  double lag_p99 = 0.0;
   std::uint64_t bytes_shipped = 0;
   std::uint64_t entries_applied = 0;
   std::uint64_t retransmits = 0;
@@ -80,15 +72,11 @@ RunResult RunIngest(std::size_t replicas) {
   ClusterConfig cfg;
   cfg.num_shards = 4;
   cfg.replication.num_replicas = replicas;
-  cfg.replication.async_ship = replicas > 0;
   // Chunks sized for throughput: the test default (64) is tuned for
   // fault-interleaving coverage, not for a fault-free bulk stream.
   cfg.replication.max_entries_per_append = 256;
   GraphCluster cluster(cfg);
 
-  // Lag samples are dimensionless entry counts; the histogram's "nanos"
-  // buckets just give us log-spaced percentiles over them.
-  LatencyHistogram lag;
   Xoshiro256 rng(11);
   const double cpu0 = ProcessCpuSeconds();
   Timer timer;
@@ -106,13 +94,6 @@ RunResult RunIngest(std::size_t replicas) {
       batch.push_back(u);
     }
     (void)cluster.ApplyBatch(batch);
-    if (replicas > 0 && (b & 7) == 0) {
-      for (std::size_t s = 0; s < cfg.num_shards; ++s) {
-        for (const auto& p : cluster.replication()->Probe(s)) {
-          lag.Record(p.head_seq - p.applied_seq);
-        }
-      }
-    }
   }
   RunResult r;
   if (replicas > 0 && !cluster.FlushReplication().ok()) {
@@ -131,12 +112,7 @@ RunResult RunIngest(std::size_t replicas) {
         static_cast<double>(
             snap.Value("pd2gl_replication_replica_apply_nanos")) *
         1e-9;
-    r.pump_cpu_secs =
-        static_cast<double>(snap.Value("pd2gl_replication_pump_cpu_nanos")) *
-        1e-9;
     r.primary_cpu_secs = cpu - r.replica_apply_secs;
-    r.lag_p50 = static_cast<double>(lag.PercentileNanos(50));
-    r.lag_p99 = static_cast<double>(lag.PercentileNanos(99));
     r.bytes_shipped = snap.Value("pd2gl_replication_bytes_shipped");
     r.entries_applied = snap.Value("pd2gl_replication_entries_applied");
     r.retransmits = snap.Value("pd2gl_replication_rejected_appends") +
@@ -150,14 +126,14 @@ RunResult RunIngest(std::size_t replicas) {
 }  // namespace
 
 int main() {
-  std::printf("=== Robustness: replication throughput & staleness ===\n\n");
+  std::printf("=== Robustness: replication throughput ===\n\n");
   std::printf(
-      "%zu updates over %zu shards, async WAL shipping, fault-free; median "
+      "%zu updates over %zu shards, inline WAL shipping, fault-free; median "
       "of %d interleaved runs per replica count\n\n",
       kBatches * kBatchSize, static_cast<std::size_t>(4), kRepetitions);
-  std::printf("%-9s %13s %23s %12s %9s %9s %14s %12s\n", "replicas",
-              "primary-ups/s", "[p25, p75]", "wall-ups/s", "lag p50",
-              "lag p99", "bytes shipped", "retransmits");
+  std::printf("%-9s %13s %23s %12s %14s %12s\n", "replicas",
+              "primary-ups/s", "[p25, p75]", "wall-ups/s", "bytes shipped",
+              "retransmits");
   PrintRule();
 
   const std::vector<std::size_t> replica_counts = {0, 1, 2};
@@ -187,10 +163,9 @@ int main() {
     const double rate_p75 = rate_of(rs[rs.size() / 4]);
     const double wall_rate = static_cast<double>(total) / r.wall_secs;
     median_rate.push_back(rate);
-    std::printf("%-9zu %13.0f [%10.0f, %10.0f] %12.0f %9.0f %9.0f %14llu "
-                "%12llu\n",
+    std::printf("%-9zu %13.0f [%10.0f, %10.0f] %12.0f %14llu %12llu\n",
                 replica_counts[i], rate, rate_p25, rate_p75, wall_rate,
-                r.lag_p50, r.lag_p99, (unsigned long long)r.bytes_shipped,
+                (unsigned long long)r.bytes_shipped,
                 (unsigned long long)r.retransmits);
     json.Rec()
         .Num("replicas", static_cast<std::uint64_t>(replica_counts[i]))
@@ -201,9 +176,6 @@ int main() {
         .Num("updates_per_sec_p75", rate_p75)
         .Num("wall_updates_per_sec", wall_rate)
         .Num("replica_apply_secs", r.replica_apply_secs)
-        .Num("pump_cpu_secs", r.pump_cpu_secs)
-        .Num("staleness_p50_entries", r.lag_p50)
-        .Num("staleness_p99_entries", r.lag_p99)
         .Num("bytes_shipped", r.bytes_shipped)
         .Num("entries_applied", r.entries_applied)
         .Num("retransmits", r.retransmits);

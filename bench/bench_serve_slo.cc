@@ -25,6 +25,7 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "dist/cluster.h"
+#include "gen/generators.h"
 #include "pipeline/epoch_coordinator.h"
 #include "serve/query_plan.h"
 #include "serve/server.h"
@@ -45,37 +46,6 @@ constexpr std::size_t kShards = 4;
 constexpr std::uint32_t kTenants = 4;
 constexpr std::size_t kRequestsPerRun = 20000;
 constexpr std::uint64_t kIngestTargetPerSec = 100000;
-
-/// Zipf(theta) over [0, n) via a precomputed CDF + binary search.
-/// Deterministic given the RNG stream; hot ranks map to low ids.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double theta) : cdf_(n) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
-      cdf_[i] = sum;
-    }
-    for (double& c : cdf_) c /= sum;
-  }
-
-  std::size_t Draw(Xoshiro256& rng) const {
-    const double u = rng.NextDouble();
-    std::size_t lo = 0, hi = cdf_.size() - 1;
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (cdf_[mid] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
- private:
-  std::vector<double> cdf_;
-};
 
 void PopulateCluster(GraphCluster* cluster) {
   std::vector<EdgeUpdate> batch;
@@ -121,12 +91,12 @@ std::vector<TimedRequest> MakeWorkload(double rate_per_sec,
     clock_us += -mean_gap_us * std::log(1.0 - rng.NextDouble());
     TimedRequest tr;
     tr.arrival_us = static_cast<std::uint64_t>(clock_us);
-    tr.req.tenant = static_cast<std::uint32_t>(tenant_zipf.Draw(rng));
+    tr.req.tenant = static_cast<std::uint32_t>(tenant_zipf.Sample(rng));
     tr.req.request_id = i;
     tr.req.rng_seed = SplitMix64(seed ^ (i * 0x9E3779B97F4A7C15ULL)).Next();
     const std::size_t num_seeds = 2 + rng.NextUint64(6);
     for (std::size_t s = 0; s < num_seeds; ++s) {
-      tr.req.seeds.push_back(seed_zipf.Draw(rng));
+      tr.req.seeds.push_back(seed_zipf.Sample(rng));
     }
     const std::uint64_t mix = rng.NextUint64(10);
     if (mix < 7) {  // 2-hop neighbourhood

@@ -9,17 +9,20 @@
 
 namespace platod2gl {
 
+/// The SplitMix64 finalizer: a bijective 64-bit mix. The library's hashes
+/// of ids and keys are this function over a key-specific input.
+constexpr std::uint64_t Mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64: used to expand a single seed into a full generator state.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
-  std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t Next() { return Mix64(state_ += 0x9E3779B97F4A7C15ULL); }
 
  private:
   std::uint64_t state_;

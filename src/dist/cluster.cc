@@ -94,7 +94,7 @@ void GraphCluster::ExportShardCaches() {
   }
 }
 
-void GraphCluster::PumpReplication() {
+void GraphCluster::ShipReplication() {
   if (!replication_) return;
   replication_->Kick();
   ReplicationHealthCheck();
@@ -303,7 +303,7 @@ Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
       }
     }
   }
-  PumpReplication();
+  ShipReplication();
   return result;
 }
 

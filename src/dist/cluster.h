@@ -374,7 +374,7 @@ class GraphCluster {
 
   /// Ship outstanding WAL entries and run the failover health monitor
   /// against the current virtual clock (serial sections only).
-  void PumpReplication();
+  void ShipReplication();
   /// Health monitor only (read paths: nothing new to ship).
   void ReplicationHealthCheck();
   /// Point the pd2gl_sample_cache_*{shard="i"} series at the cache of

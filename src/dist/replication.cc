@@ -15,8 +15,8 @@ namespace platod2gl {
 namespace {
 
 /// RAII meter for work billed to the *replica* machine (decode + apply).
-/// Thread-CPU clock, not wall: on a shared-host simulation the pump and
-/// the client time-slice one core, and only actual cycles burnt by the
+/// Thread-CPU clock, not wall: on a shared-host simulation other threads
+/// time-slice the same cores, and only actual cycles burnt by the
 /// replica's side should land in replica_apply_nanos.
 class ReplicaCpuMeter {
  public:
@@ -152,73 +152,25 @@ ReplicationManager::ReplicationManager(const ReplicationConfig& config,
     }
     reps_.push_back(std::move(sr));
   }
-  if (config_.async_ship) {
-    pump_ = std::thread([this] { PumpLoop(); });
-  }
-}
-
-ReplicationManager::~ReplicationManager() {
-  if (pump_.joinable()) {
-    {
-      MutexLock lock(pump_mu_);
-      pump_stop_ = true;
-      pump_cv_.notify_all();
-    }
-    pump_.join();
-  }
 }
 
 void ReplicationManager::Kick() {
-  if (!config_.async_ship) {
-    for (std::size_t s = 0; s < primaries_.size(); ++s) {
-      Ship(s, /*allow_bootstrap=*/true);
-    }
-    return;
-  }
-  MutexLock lock(pump_mu_);
-  pump_work_ = true;
-  pump_cv_.notify_all();
+  for (std::size_t s = 0; s < primaries_.size(); ++s) Ship(s);
 }
 
-void ReplicationManager::PumpLoop() {
-  for (;;) {
-    {
-      MutexLock lock(pump_mu_);
-      while (!pump_stop_ && !pump_work_) pump_cv_.wait(pump_mu_);
-      if (pump_stop_) return;
-      pump_work_ = false;
-    }
-    // Meter the whole round: pump_cpu - replica_apply isolates the
-    // primary-side ship cost for the bench's cost accounting.
-    ReplicaCpuMeter round_meter(counters_.pump_cpu_nanos);
-    // Bootstrapping snapshots the primary's *live* store, which may be
-    // receiving applies right now — only the client-serial paths (Kick in
-    // sync mode, Flush) are allowed to do that.
-    for (std::size_t s = 0; s < primaries_.size(); ++s) {
-      Ship(s, /*allow_bootstrap=*/false);
-    }
-  }
-}
-
-void ReplicationManager::Ship(std::size_t shard, bool allow_bootstrap) {
+void ReplicationManager::Ship(std::size_t shard) {
   ShardRep& sr = *reps_[shard];
   MutexLock lock(sr.mu);
-  if (allow_bootstrap) {
-    for (std::size_t r = 0; r < sr.replicas.size(); ++r) {
-      Replica& rep = sr.replicas[r];
-      if (rep.incompatible || injector_->IsReplicaCrashed(shard, r) ||
-          injector_->IsReplicaPartitioned(shard, r)) {
-        continue;
-      }
-      if (rep.applied_seq < primaries_[shard]->wal_truncated_through()) {
-        BootstrapReplica(shard, r, rep);
-      }
+  for (std::size_t r = 0; r < sr.replicas.size(); ++r) {
+    Replica& rep = sr.replicas[r];
+    if (rep.incompatible || injector_->IsReplicaCrashed(shard, r) ||
+        injector_->IsReplicaPartitioned(shard, r)) {
+      continue;
+    }
+    if (rep.applied_seq < primaries_[shard]->wal_truncated_through()) {
+      BootstrapReplica(shard, r, rep);
     }
   }
-  ShipLocked(shard, sr);
-}
-
-void ReplicationManager::ShipLocked(std::size_t shard, ShardRep& sr) {
   PD2GL_PROFILE_SCOPE(obs::ProfileSite::kWalShip);
   GraphShard* pri = primaries_[shard];
   const std::uint64_t head = pri->wal_seq();
@@ -229,7 +181,7 @@ void ReplicationManager::ShipLocked(std::size_t shard, ShardRep& sr) {
     if (injector_->IsReplicaCrashed(shard, r)) continue;
     if (injector_->IsReplicaPartitioned(shard, r)) continue;
     // Below the truncation point and not bootstrapped this round: the log
-    // cannot reach this replica, skip until a bootstrap-capable pass.
+    // cannot reach this replica, skip until a bootstrap succeeds.
     if (rep.applied_seq < pri->wal_truncated_through()) continue;
     if (rep.applied_seq < head) {
       std::vector<TimedUpdate>& window = sr.window_scratch;
@@ -365,7 +317,10 @@ bool ReplicationManager::BootstrapReplica(std::size_t shard,
   std::string image;
   std::uint64_t covered = 0;
   if (!pri->crashed()) {
-    // Live primary: snapshot the serving store (covers the full log).
+    // Live primary: snapshot the serving store (covers the full log). The
+    // image reads that store unlocked, so it holds only while no writer
+    // applies to it: a ship on one client thread beside a writer on
+    // another races this read.
     covered = pri->wal_seq();
     if (!SaveGraphToBytes(pri->store(), &image).ok()) return false;
   } else if (!pri->checkpoint_path().empty()) {
@@ -386,7 +341,7 @@ bool ReplicationManager::BootstrapReplica(std::size_t shard,
   if (injector_->NextRepFault(shard, replica) ==
       FaultInjector::RepFault::kDrop) {
     counters_.dropped_messages->Add();
-    return false;  // retried next bootstrap-capable round
+    return false;  // retried next ship round
   }
   // Decoding and loading the image are the receiving replica's work.
   ReplicaCpuMeter meter(counters_.replica_apply_nanos);
@@ -418,7 +373,7 @@ Status ReplicationManager::Flush() {
   for (int round = 0; round < kMaxFlushRounds; ++round) {
     bool all_caught_up = true;
     for (std::size_t s = 0; s < primaries_.size(); ++s) {
-      Ship(s, /*allow_bootstrap=*/true);
+      Ship(s);
       ShardRep& sr = *reps_[s];
       MutexLock lock(sr.mu);
       const std::uint64_t head = primaries_[s]->wal_seq();

@@ -26,21 +26,18 @@
 //     skipped (honest lag is not divergence — no false positives).
 //
 // Threading: every per-shard mutable structure is guarded by that shard's
-// mutex. In synchronous mode (default) all calls happen on the cluster's
-// client thread and runs are seed-pure. In async mode (async_ship) a pump
-// thread ships in the background — throughput-realistic for the bench,
-// but message timing then depends on the OS scheduler, so chaos tests
-// stick to synchronous mode. Lock order: shard mutex before the epoch
-// coordinator; the pump never touches the coordinator.
+// mutex. Shipping runs inline on the cluster's client thread after every
+// write, so a run driven from one client thread is seed-pure. Two client
+// threads writing at once each ship under the shard mutex, reading the
+// primary's WAL through its locked accessors. Lock order: shard mutex
+// before the epoch coordinator.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -74,9 +71,6 @@ struct ReplicationConfig {
   /// version to model an old-format peer; such replicas are excluded with
   /// kUnimplemented rather than fed garbage.
   std::uint8_t wire_version = wire::kReplicationWireVersion;
-  /// Ship from a background pump thread instead of inline after each
-  /// apply. Throughput mode for the bench; NOT seed-pure (see header).
-  bool async_ship = false;
 };
 
 /// Transport-level counters, one row each: exported as
@@ -100,11 +94,7 @@ struct ReplicationConfig {
      stores. In a deployment this burns the replica machine's cores, not       \
      the primary's; bench_replication subtracts it to price what               \
      replication costs the ingest path itself on a shared-host simulation. */  \
-  X(replica_apply_nanos)                                                       \
-  /* Total CPU nanoseconds burnt by the async pump thread (0 in sync           \
-     mode). pump_cpu_nanos - replica_apply_nanos is the primary-side ship      \
-     cost: window copies, encoding, fault draws, ack handling. */              \
-  X(pump_cpu_nanos)
+  X(replica_apply_nanos)
 
 struct ReplicationStats {
   PD2GL_REPLICATION_COUNTERS(PD2GL_STATS_FIELD)
@@ -153,20 +143,14 @@ class ReplicationManager {
                      std::vector<GraphShard*> primaries,
                      FaultInjector* injector, EpochCoordinator* cutover,
                      obs::MetricRegistry* metrics = nullptr);
-  ~ReplicationManager();
   ReplicationManager(const ReplicationManager&) = delete;
   ReplicationManager& operator=(const ReplicationManager&) = delete;
 
   // --- Shipping -----------------------------------------------------------
 
-  /// Notify the manager that new WAL entries may exist. Synchronous mode
-  /// ships inline (and may bootstrap); async mode wakes the pump.
+  /// New WAL entries may exist: one shipping pass over every shard, on
+  /// the calling thread.
   void Kick();
-
-  /// One shipping pass over `shard`: bootstrap lagging-behind-truncation
-  /// replicas (if allowed), then deliver the outstanding WAL window to
-  /// every reachable replica and collect acks.
-  void Ship(std::size_t shard, bool allow_bootstrap);
 
   /// Ship until every live, unpartitioned, compatible replica has applied
   /// the full WAL; kDeadlineExceeded if the fault schedule keeps a channel
@@ -206,7 +190,7 @@ class ReplicationManager {
   // --- Replica lifecycle (driven by GraphCluster / tests) -----------------
 
   /// Wipe a replica's volatile store after FaultInjector::CrashReplica:
-  /// both watermarks drop to 0 and the next Ship() re-feeds it from the
+  /// both watermarks drop to 0 and the next ship round re-feeds it from the
   /// log (or a snapshot if the log was truncated).
   void WipeReplica(std::size_t shard, std::size_t replica);
 
@@ -255,7 +239,10 @@ class ReplicationManager {
   static constexpr std::uint64_t kNotSuspected = ~std::uint64_t{0};
   static constexpr int kMaxFlushRounds = 4096;
 
-  void ShipLocked(std::size_t shard, ShardRep& sr) REQUIRES(sr.mu);
+  /// One shipping pass over `shard`: bootstrap lagging-behind-truncation
+  /// replicas, then deliver the outstanding WAL window to every reachable
+  /// replica and collect acks. Takes the shard's mutex.
+  void Ship(std::size_t shard);
   /// Deliver one encoded RepLogAppend to a replica (decode + contiguity
   /// check + apply). Updates watermarks and counters.
   void DeliverAppend(const std::string& bytes, Replica& rep);
@@ -269,13 +256,13 @@ class ReplicationManager {
       REQUIRES(sr.mu);
   /// Bootstrap one replica from a snapshot image. False if no image is
   /// obtainable right now (crashed primary without a checkpoint) or the
-  /// message was dropped.
+  /// message was dropped. A live primary is imaged from its serving
+  /// store, so the caller must keep writers off that store meanwhile.
   bool BootstrapReplica(std::size_t shard, std::size_t replica, Replica& rep);
   /// Promote the best replica of a crashed shard. Returns entries
   /// replayed, or nullopt if no replica qualifies.
   std::optional<std::uint64_t> PromoteLocked(std::size_t shard, ShardRep& sr)
       REQUIRES(sr.mu);
-  void PumpLoop();
 
   ReplicationConfig config_;
   GraphStoreConfig store_config_;
@@ -290,13 +277,6 @@ class ReplicationManager {
   struct {
     PD2GL_REPLICATION_COUNTERS(PD2GL_COUNTER_HANDLE)
   } counters_;
-
-  // Async pump (constructed only when config_.async_ship).
-  Mutex pump_mu_;
-  CondVar pump_cv_;
-  bool pump_work_ GUARDED_BY(pump_mu_) = false;
-  bool pump_stop_ GUARDED_BY(pump_mu_) = false;
-  std::thread pump_;
 };
 
 }  // namespace platod2gl

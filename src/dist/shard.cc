@@ -14,8 +14,9 @@ void GraphShard::ApplyBatch(std::span<const EdgeUpdate> batch) {
   MutexLock writer(writer_mu_);
   {
     // WAL first: the sequence number is strictly increasing, so Append can
-    // never hit a time regression here. Locked because a replication pump
-    // may be reading a window concurrently (docs/replication.md).
+    // never hit a time regression here. Locked because another client
+    // thread's replication ship may be reading a window concurrently
+    // (docs/replication.md).
     SpinlockGuard g(wal_mu_);
     for (const EdgeUpdate& u : batch) wal_.Append(++wal_seq_, u);
   }

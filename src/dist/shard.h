@@ -19,11 +19,11 @@
 //
 // Replication (DESIGN.md §13, docs/replication.md): the durable WAL
 // doubles as the replication log. The ReplicationManager reads windows of
-// it to ship to replicas — possibly from a pump thread concurrent with
-// ApplyBatch — so the WAL and its watermarks are guarded by a spinlock and
-// exposed through the locked accessors below. Promote() is the failover
-// hand-off: a caught-up replica store is installed as the serving store
-// and the shard returns to service.
+// it to ship to replicas — possibly on one client thread while another
+// client thread's ApplyBatch appends — so the WAL and its watermarks are
+// guarded by a spinlock and exposed through the locked accessors below.
+// Promote() is the failover hand-off: a caught-up replica store is
+// installed as the serving store and the shard returns to service.
 #pragma once
 
 #include <atomic>
@@ -162,12 +162,12 @@ class GraphShard {
   GraphStoreConfig config_;
   std::unique_ptr<GraphStore> store_;  // volatile (lost on Crash)
   /// Serialises ApplyBatch callers across the WAL append and the store
-  /// apply. Not wal_mu_: the replication pump reads under that one and
-  /// must not wait behind a whole apply.
+  /// apply. Not wal_mu_: a replication ship reads under that one and must
+  /// not wait behind a whole apply.
   Mutex writer_mu_;
-  /// Guards the durable-log state: ApplyBatch appends while a replication
-  /// pump may concurrently read windows/watermarks. Held only for short
-  /// log operations, never across a store apply.
+  /// Guards the durable-log state: ApplyBatch appends while another
+  /// client thread's replication ship may read windows/watermarks. Held
+  /// only for short log operations, never across a store apply.
   mutable Spinlock wal_mu_;
   TemporalEdgeLog wal_ GUARDED_BY(wal_mu_);  // durable
   std::uint64_t wal_seq_ GUARDED_BY(wal_mu_) = 0;

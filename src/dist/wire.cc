@@ -222,27 +222,12 @@ DecodeResult GetRepHeader(const std::string& bytes, char tag,
   return DecodeResult::kOk;
 }
 
-}  // namespace
-
-std::string EncodeRepLogAppend(const RepLogAppend& msg, std::uint8_t version) {
-  std::string out;
-  out.reserve(10 + msg.entries.size() * kRepEntryBytes);
-  out.push_back('L');
-  Put(&out, version);
-  Put(&out, msg.shard);
-  Put(&out, static_cast<std::uint32_t>(msg.entries.size()));
-  for (const RepLogEntry& e : msg.entries) {
-    Put(&out, e.seq);
-    PutUpdate(&out, e.update);
-  }
-  return out;
-}
-
-std::string EncodeRepLogAppendWindow(std::uint32_t shard,
-                                     std::uint64_t first_seq,
-                                     const TimedUpdate* window,
-                                     std::size_t count,
-                                     std::uint8_t version) {
+/// The RepLogAppend layout, written once: entry i is seq_of(i) followed by
+/// update_of(i).
+template <typename SeqOf, typename UpdateOf>
+std::string EncodeAppend(std::uint32_t shard, std::size_t count,
+                         std::uint8_t version, SeqOf seq_of,
+                         UpdateOf update_of) {
   std::string out;
   out.reserve(10 + count * kRepEntryBytes);
   out.push_back('L');
@@ -250,10 +235,31 @@ std::string EncodeRepLogAppendWindow(std::uint32_t shard,
   Put(&out, shard);
   Put(&out, static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
-    Put(&out, first_seq + i);
-    PutUpdate(&out, window[i].update);
+    Put(&out, static_cast<std::uint64_t>(seq_of(i)));
+    PutUpdate(&out, update_of(i));
   }
   return out;
+}
+
+}  // namespace
+
+std::string EncodeRepLogAppend(const RepLogAppend& msg, std::uint8_t version) {
+  return EncodeAppend(
+      msg.shard, msg.entries.size(), version,
+      [&](std::size_t i) { return msg.entries[i].seq; },
+      [&](std::size_t i) -> const EdgeUpdate& {
+        return msg.entries[i].update;
+      });
+}
+
+std::string EncodeRepLogAppendWindow(std::uint32_t shard,
+                                     std::uint64_t first_seq,
+                                     const TimedUpdate* window,
+                                     std::size_t count,
+                                     std::uint8_t version) {
+  return EncodeAppend(
+      shard, count, version, [&](std::size_t i) { return first_seq + i; },
+      [&](std::size_t i) -> const EdgeUpdate& { return window[i].update; });
 }
 
 DecodeResult DecodeRepLogAppend(const std::string& bytes, RepLogAppend* out) {

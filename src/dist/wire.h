@@ -167,9 +167,9 @@ std::string EncodeRepLogAppend(const RepLogAppend& msg,
 DecodeResult DecodeRepLogAppend(const std::string& bytes, RepLogAppend* out);
 
 /// Shipping fast path: encode `count` contiguous entries (seqs first_seq,
-/// first_seq + 1, ...) straight out of a WAL window, byte-identical to
-/// EncodeRepLogAppend over the equivalent RepLogAppend but without
-/// materialising the intermediate entry vector.
+/// first_seq + 1, ...) straight out of a WAL window, without materialising
+/// the intermediate entry vector. Both encoders share one body, so the
+/// bytes equal EncodeRepLogAppend's over the equivalent RepLogAppend.
 std::string EncodeRepLogAppendWindow(
     std::uint32_t shard, std::uint64_t first_seq, const TimedUpdate* window,
     std::size_t count, std::uint8_t version = kReplicationWireVersion);

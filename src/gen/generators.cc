@@ -32,7 +32,7 @@ std::vector<Edge> GenerateRmat(const RmatParams& params) {
   return edges;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double exponent, std::uint64_t) {
+ZipfSampler::ZipfSampler(std::size_t n, double exponent) {
   assert(n > 0);
   cdf_.resize(n);
   double running = 0.0;

@@ -80,7 +80,7 @@ std::vector<EdgeUpdate> MakeUpdateStream(const std::vector<Edge>& base,
 /// Zipf sampler over [0, n): P(k) ~ 1/(k+1)^s, built once in O(n).
 class ZipfSampler {
  public:
-  ZipfSampler(std::size_t n, double exponent, std::uint64_t seed_unused = 0);
+  ZipfSampler(std::size_t n, double exponent);
   std::size_t Sample(Xoshiro256& rng) const;
 
  private:

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/random.h"
+
 namespace platod2gl::obs {
 
 std::uint64_t DeriveTraceId(std::uint32_t tenant, std::uint64_t request_id,
@@ -11,9 +13,7 @@ std::uint64_t DeriveTraceId(std::uint32_t tenant, std::uint64_t request_id,
   std::uint64_t z = rng_seed;
   z ^= request_id + 0x9E3779B97F4A7C15ULL;
   z ^= (static_cast<std::uint64_t>(tenant) + 1) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z = z ^ (z >> 31);
+  z = Mix64(z);
   return z == 0 ? 0x9E3779B97F4A7C15ULL : z;
 }
 

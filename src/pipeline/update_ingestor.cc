@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/random.h"
+
 namespace platod2gl {
 
 UpdateIngestor::UpdateIngestor(IngestorConfig config,
@@ -30,10 +32,8 @@ UpdateIngestor::Shard& UpdateIngestor::ShardFor(const EdgeUpdate& u) {
   // SplitMix64-style mix so consecutive vertex IDs spread across shards;
   // keyed by source only, so every update of one edge lands in the same
   // FIFO (per-edge order is what the coalescer folds).
-  std::uint64_t h = u.edge.src + 0x9E3779B97F4A7C15ULL;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-  return *shards_[(h ^ (h >> 31)) % config_.num_shards];
+  return *shards_[Mix64(u.edge.src + 0x9E3779B97F4A7C15ULL) %
+                  config_.num_shards];
 }
 
 void UpdateIngestor::NoteAccepted(std::uint64_t timestamp) {

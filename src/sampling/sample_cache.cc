@@ -23,11 +23,8 @@ struct Key {
 
 std::uint64_t MixKey(VertexId v, EdgeType t) {
   // SplitMix64 finalizer over the combined 64+32 bits.
-  std::uint64_t z = v ^ (static_cast<std::uint64_t>(t) << 56) ^
-                    (static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return Mix64(v ^ (static_cast<std::uint64_t>(t) << 56) ^
+               (static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ULL));
 }
 
 struct KeyHasher {

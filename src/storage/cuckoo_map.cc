@@ -1,14 +1,13 @@
 #include "storage/cuckoo_map.h"
 
+#include "common/random.h"
+
 namespace platod2gl {
 
 std::uint64_t HashVertexId(VertexId key, std::uint64_t seed) {
   // SplitMix64 finaliser over key ^ seed: cheap, well mixed, and distinct
   // seeds give effectively independent hash functions.
-  std::uint64_t z = key ^ seed;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return Mix64(key ^ seed);
 }
 
 }  // namespace platod2gl

@@ -2,7 +2,7 @@
 // docs/observability.md): idempotent registration with normalized labels,
 // race-free sorted snapshots, the counter-list expansions as the one shared
 // fill loop, cross-registry MergeFrom, the Prometheus/JSON exporters, the
-// compile-away profiling sites, the end-to-end contract that
+// sampled profiling sites, the end-to-end contract that
 // every row of every subsystem counter list reads the same in its Stats()
 // struct and its registry series, and a golden merged page that pins the
 // export of a fixed workload line for line.
@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/samtree.h"
 #include "dist/cluster.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -225,7 +227,7 @@ TEST(ExportTest, JsonCarriesEverySeries) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiling sites: present in every build, recording only when enabled.
+// Profiling sites: compiled into every build, timing 1 scope in 64.
 // ---------------------------------------------------------------------------
 
 TEST(ProfileTest, SitesAreNamedAndSnapshotExports) {
@@ -235,12 +237,6 @@ TEST(ProfileTest, SitesAreNamedAndSnapshotExports) {
   for (const MetricPoint& p : before.points) {
     EXPECT_EQ(p.name.rfind("pd2gl_profile_", 0), 0u) << p.name;
     EXPECT_EQ(p.kind, MetricKind::kHistogram);
-    if (!obs::ProfilingEnabled()) {
-      // Default build: the macro compiles away; nothing in this process
-      // (including the hot paths other tests exercised) may have
-      // recorded into the site histograms.
-      EXPECT_EQ(p.hist.Count(), 0u) << p.name;
-    }
   }
   for (std::uint8_t s = 0;
        s < static_cast<std::uint8_t>(obs::ProfileSite::kNumSites); ++s) {
@@ -248,8 +244,22 @@ TEST(ProfileTest, SitesAreNamedAndSnapshotExports) {
               nullptr);
   }
 
-  // The histograms themselves are always live (the macro is what
-  // compiles away), so a direct Record shows up in the next snapshot.
+  // kProfileSampleEvery batched descents in a row on one thread pass its
+  // sampling tick through 0 once, whatever phase it starts in.
+  LatencyHistogram& descent =
+      obs::ProfileHistogram(obs::ProfileSite::kSamtreeDescent);
+  const std::uint64_t descents_before = descent.Count();
+  Samtree tree;
+  for (VertexId v = 0; v < 32; ++v) tree.Insert(v, 1.0 + v);
+  Xoshiro256 rng(9);
+  std::vector<VertexId> draws;
+  for (std::uint32_t i = 0; i < obs::kProfileSampleEvery; ++i) {
+    tree.SampleWeighted(8, rng, &draws);
+  }
+  EXPECT_GE(descent.Count(), descents_before + 1);
+
+  // The histograms themselves are always live, so a direct Record shows
+  // up in the next snapshot.
   obs::ProfileHistogram(obs::ProfileSite::kSamtreeDescent).Record(500);
   const RegistrySnapshot after = obs::ProfileSnapshot();
   bool saw = false;
@@ -499,7 +509,7 @@ struct FixedWorkload {
 };
 
 /// The page minus what holds measured time: histogram samples are dropped
-/// (their `# TYPE` lines stay) and the CPU-time counters are masked.
+/// (their `# TYPE` lines stay) and the CPU-time counter is masked.
 std::string CounterLines(const std::string& page) {
   std::istringstream in(page);
   std::string out;
@@ -510,8 +520,7 @@ std::string CounterLines(const std::string& page) {
       histogram = line.ends_with(" histogram");
     } else if (histogram) {
       continue;
-    } else if (line.starts_with("pd2gl_replication_replica_apply_nanos ") ||
-               line.starts_with("pd2gl_replication_pump_cpu_nanos ")) {
+    } else if (line.starts_with("pd2gl_replication_replica_apply_nanos ")) {
       line = line.substr(0, line.find(' ')) + " <cpu-nanos>";
     }
     out += line + '\n';

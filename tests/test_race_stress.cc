@@ -116,12 +116,17 @@ TEST(RaceStressTest, SamplersVsBatchUpdaterOnDisjointPartitions) {
 // mutate the same samtrees; destinations are disjoint, so the final store
 // is the union of the two streams. A shard logs and applies each batch as
 // one step, so replaying its WAL in log order rebuilds the live store byte
-// for byte.
+// for byte. Each shard has two replicas, and each writer ships inline
+// after its batch, so one writer's ship reads shard 0's WAL while the
+// other writer appends to it. No checkpoint is taken, so no ship
+// bootstraps from the live store.
 TEST(RaceStressTest, TwoClusterWritersShareSourcesOnOneShard) {
   constexpr int kBatches = 200;
   constexpr int kPerBatch = 32;
+  constexpr std::size_t kReplicas = 2;
   ClusterConfig config;
   config.rpc_latency_us = 0;
+  config.replication.num_replicas = kReplicas;
   GraphCluster cluster(config);
   std::vector<VertexId> sources;
   for (VertexId v = 0; sources.size() < 16; ++v) {
@@ -170,6 +175,14 @@ TEST(RaceStressTest, TwoClusterWritersShareSourcesOnOneShard) {
   ASSERT_TRUE(SaveGraphToBytes(store, &live_bytes).ok());
   ASSERT_TRUE(SaveGraphToBytes(replay, &replay_bytes).ok());
   EXPECT_TRUE(live_bytes == replay_bytes);
+
+  ASSERT_TRUE(cluster.FlushReplication().ok());
+  for (std::size_t r = 0; r < kReplicas; ++r) {
+    std::string replica_bytes;
+    ASSERT_TRUE(
+        cluster.replication()->SnapshotReplica(0, r, &replica_bytes).ok());
+    EXPECT_TRUE(replica_bytes == live_bytes) << "replica " << r;
+  }
 }
 
 // Admission, eviction and stale-entry rebuild all racing on a shared

@@ -544,20 +544,5 @@ TEST(ReplicationChaosTest, KillRejoinPartitionMatrixSweep) {
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) RunChaosMatrix(seed);
 }
 
-// --- Async shipping (bench mode) -------------------------------------------
-
-TEST(ReplicationAsyncTest, PumpThreadConvergesUnderConcurrentIngest) {
-  ClusterConfig cfg = ReplicatedConfig(2);
-  cfg.replication.async_ship = true;
-  GraphCluster c(cfg);
-  for (int round = 0; round < 8; ++round) {
-    ASSERT_TRUE(c.ApplyBatch(MakeBatch(1, 100, 1000 + round * 200,
-                                       1.0 + round))
-                    .ok());
-  }
-  ASSERT_TRUE(c.FlushReplication().ok());
-  ExpectAllReplicasConverged(c, 2);
-}
-
 }  // namespace
 }  // namespace platod2gl
